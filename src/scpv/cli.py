@@ -75,8 +75,9 @@ def cmd_encode(args) -> int:
     prog = _load_program(args.program)
     data = encode_program(prog)
     text = print_seq(data)
-    if args.check:
-        assert decode_program(data) == prog
+    if args.check and decode_program(data) != prog:
+        print("error: the encoded program does not decode to itself", file=sys.stderr)
+        return EXIT_ERROR
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text + "\n")

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .lang import (
     BULLET,
+    HAS_BULLET,
+    HAS_CALL,
+    HAS_PARAM,
     Bullet,
     Call,
     Param,
@@ -32,9 +35,6 @@ class Clock:
         self.now += 1
         return self.now
 
-    def clone(self) -> "Clock":
-        return Clock(self.now)
-
 
 class ParamGen:
     """Fresh-parameter supply, shared between driving and generalization."""
@@ -46,9 +46,6 @@ class ParamGen:
         p = Param(kind, self.next_num)
         self.next_num += 1
         return p
-
-    def clone(self) -> "ParamGen":
-        return ParamGen(self.next_num)
 
 
 @dataclass(frozen=True)
@@ -77,11 +74,6 @@ class Configuration:
         return len(self.stack)
 
 
-def config_length(c: Configuration) -> int:
-    """Number of upper function applications (the stack height)."""
-    return len(c.stack)
-
-
 def check_config(c: Configuration) -> None:
     """Assert the bullet and time-label invariants; used in tests and debug."""
     times = [e.time for e in c.stack]
@@ -92,7 +84,6 @@ def check_config(c: Configuration) -> None:
         assert n == want, f"entry {i} of {c!r} has {n} bullets"
     if c.stack:
         assert bullet_count(c.tail) == 1, f"tail of {c!r} must hold one bullet"
-    assert not contains_call(c.tail) or True  # tails may suspend calls transiently
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +96,9 @@ def subst_seq(seq: Seq, theta: dict) -> Seq:
         return seq
     out = []
     for it in seq:
-        if isinstance(it, Param):
+        if not it.flags & HAS_PARAM:
+            out.append(it)
+        elif isinstance(it, Param):
             rep = theta.get(it)
             if rep is None:
                 out.append(it)
@@ -115,10 +108,8 @@ def subst_seq(seq: Seq, theta: dict) -> Seq:
                 out.extend(rep)
         elif isinstance(it, Paren):
             out.append(Paren(subst_seq(it.items, theta)))
-        elif isinstance(it, Call):
-            out.append(Call(it.fname, tuple(subst_seq(a, theta) for a in it.args)))
         else:
-            out.append(it)
+            out.append(Call(it.fname, tuple(subst_seq(a, theta) for a in it.args)))
     return tuple(out)
 
 
@@ -152,14 +143,14 @@ def compose_subst(first: dict, second: dict) -> dict:
 def replace_bullet(seq: Seq, value: Seq) -> Seq:
     out = []
     for it in seq:
-        if isinstance(it, Bullet):
+        if not it.flags & HAS_BULLET:
+            out.append(it)
+        elif isinstance(it, Bullet):
             out.extend(value)
         elif isinstance(it, Paren):
             out.append(Paren(replace_bullet(it.items, value)))
-        elif isinstance(it, Call):
-            out.append(Call(it.fname, tuple(replace_bullet(a, value) for a in it.args)))
         else:
-            out.append(it)
+            out.append(Call(it.fname, tuple(replace_bullet(a, value) for a in it.args)))
     return tuple(out)
 
 
@@ -199,11 +190,9 @@ def _split_leftmost_call(seq: Seq):
     for i, it in enumerate(seq):
         if isinstance(it, Call):
             return it, seq[:i] + (BULLET,) + seq[i + 1 :]
-        if isinstance(it, Paren):
-            got = _split_leftmost_call(it.items)
-            if got is not None:
-                call, inner_ctx = got
-                return call, seq[:i] + (Paren(inner_ctx),) + seq[i + 1 :]
+        if it.flags & HAS_CALL:  # a paren: its call is reachable through parens
+            call, inner_ctx = _split_leftmost_call(it.items)
+            return call, seq[:i] + (Paren(inner_ctx),) + seq[i + 1 :]
     return None
 
 

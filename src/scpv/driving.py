@@ -27,6 +27,7 @@ from .config import (
     timed_chain,
 )
 from .lang import (
+    HAS_VAR,
     Bullet,
     Call,
     Paren,
@@ -69,14 +70,14 @@ class StepResult:
 def _subst_vars(seq: Seq, env: dict) -> Seq:
     out = []
     for it in seq:
-        if isinstance(it, Var):
+        if not it.flags & HAS_VAR:
+            out.append(it)
+        elif isinstance(it, Var):
             out.extend(env[it])
         elif isinstance(it, Paren):
             out.append(Paren(_subst_vars(it.items, env)))
-        elif isinstance(it, Call):
-            out.append(Call(it.fname, tuple(_subst_vars(a, env) for a in it.args)))
         else:
-            out.append(it)
+            out.append(Call(it.fname, tuple(_subst_vars(a, env) for a in it.args)))
     return tuple(out)
 
 

@@ -150,6 +150,7 @@ class Trace:
         self.warnings: list[str] = []
         self.msg_checked = 0
         self.fold_checked = 0
+        self.transitive_steps = 0
 
     def emit(self, ev: str, **fields) -> None:
         rec = {"v": 1, "ev": ev}
@@ -251,7 +252,6 @@ class Engine:
         self.t0 = time.monotonic()
         self.tasks: list[int] = []  # FIFO of task-root node ids
         self.agenda: list[int] = []  # LIFO within the current task
-        self.transitive_steps = 0
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -366,7 +366,7 @@ class Engine:
                 and not res.branches[0].deferred
             ):
                 config = res.branches[0].successor
-                self.transitive_steps += 1
+                self.trace.transitive_steps += 1
                 skipped += 1
                 if time.monotonic() - self.t0 > self.limits.time_budget_s:
                     raise BudgetExceeded("time budget exceeded", self.graph, self.trace)
@@ -798,6 +798,7 @@ def verify_protocol(
                 "nodes": graph.stats()["nodes"],
                 "msg_checked": trace.msg_checked,
                 "fold_checked": trace.fold_checked,
+                "transitive_steps": trace.transitive_steps,
                 "seconds": round(time.monotonic() - t0, 3),
             }
         )

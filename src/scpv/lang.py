@@ -5,11 +5,20 @@ Expressions are kept in concatenation-normal form throughout: an expression
 is a tuple of items, `[]` is the empty tuple, `:` and `++` both concatenate.
 This makes the associativity/unit equalities of the append constructor hold
 by construction.
+
+Every item carries ``flags``, a bitmask of the kinds of item found at or
+below it (``HAS_CALL``, ``HAS_BULLET``, ``HAS_PARAM``, ``HAS_VAR``). Leaves
+have constant flags; ``Paren`` and ``Call`` derive theirs from their
+children once, at construction, so that walkers can return a subtree
+unchanged without entering it. The flags take no part in ``==``, ``hash``
+or printing. Invariant: items are built only through their constructors,
+never with ``object.__new__`` or by mutating a field, because that would
+leave ``flags`` stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 
@@ -27,64 +36,85 @@ class LangError(Exception):
 # ---------------------------------------------------------------------------
 # Items
 
+HAS_CALL = 1
+HAS_BULLET = 2
+HAS_PARAM = 4
+HAS_VAR = 8
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Sym:
     """A symbol: an identifier (``True``) or a character literal (``'a'``)."""
 
     name: str
     char: bool = False
+    flags = 0
 
     def __repr__(self):
         return f"'{self.name}'" if self.char else self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """A program variable, kind 's' (one symbol) or 'e' (any expression)."""
 
     kind: str
     name: str
+    flags = HAS_VAR
 
     def __repr__(self):
         return f"{self.kind}.{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     """A configuration parameter, globally numbered within one run."""
 
     kind: str
     num: int
+    flags = HAS_PARAM
 
     def __repr__(self):
         return f"{self.kind}.{self.num}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paren:
     """The unnamed tree constructor ``( ... )``."""
 
     items: "Seq"
+    flags: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "flags", seq_flags(self.items))
 
     def __repr__(self):
         return f"({print_seq(self.items)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     """Function application; every argument is a sequence."""
 
     fname: str
     args: tuple
+    flags: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        f = HAS_CALL
+        for a in self.args:
+            f |= seq_flags(a)
+        object.__setattr__(self, "flags", f)
 
     def __repr__(self):
         return f"{self.fname}({', '.join(print_seq(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bullet:
     """Placeholder threading a stack result through a configuration."""
+
+    flags = HAS_BULLET
 
     def __repr__(self):
         return "•"
@@ -94,10 +124,6 @@ Item = Union[Sym, Var, Param, Paren, Call, Bullet]
 Seq = tuple
 NIL: Seq = ()
 BULLET = Bullet()
-
-
-def cons(item: Item, rest: Seq) -> Seq:
-    return (item,) + tuple(rest)
 
 
 def cat(*seqs: Seq) -> Seq:
@@ -185,30 +211,34 @@ def vars_of(seq: Seq) -> list:
     return out
 
 
-def _contains_call(seq: Seq) -> bool:
+def seq_flags(seq: Seq) -> int:
+    """The union of the flags of the items of seq, at any depth."""
+    f = 0
     for it in seq:
-        if isinstance(it, Call):
-            return True
-        if isinstance(it, Paren) and _contains_call(it.items):
-            return True
-    return False
+        f |= it.flags
+    return f
 
 
 def contains_call(seq: Seq) -> bool:
-    return _contains_call(seq)
-
-
-def is_passive(seq: Seq) -> bool:
-    return not contains_call(seq)
+    return bool(seq_flags(seq) & HAS_CALL)
 
 
 def is_ground(seq: Seq) -> bool:
     """True iff seq lies in the data set: symbols and parens only."""
-    return all(isinstance(it, (Sym, Paren)) for it in iter_items(seq))
+    return not seq_flags(seq)
 
 
 def bullet_count(seq: Seq) -> int:
-    return sum(1 for it in iter_items(seq) if isinstance(it, Bullet))
+    n = 0
+    for it in seq:
+        if it.flags & HAS_BULLET:
+            if isinstance(it, Bullet):
+                n += 1
+            elif isinstance(it, Paren):
+                n += bullet_count(it.items)
+            else:
+                n += sum(bullet_count(a) for a in it.args)
+    return n
 
 
 # ---------------------------------------------------------------------------

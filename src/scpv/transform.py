@@ -6,9 +6,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import Configuration, ParamGen, TimedApp, compose_subst, subst_seq
+from .config import (
+    Configuration,
+    ParamGen,
+    TimedApp,
+    compose_subst,
+    replace_bullet,
+    subst_seq,
+)
 from .lang import (
     BULLET,
+    HAS_BULLET,
+    HAS_PARAM,
+    HAS_VAR,
     Bullet,
     Call,
     FuncDef,
@@ -43,7 +53,7 @@ class FoldEdge:
 
 
 def _ground_item(it) -> bool:
-    return not any(isinstance(x, (Param, Var, Bullet)) for x in iter_items((it,)))
+    return not it.flags & (HAS_PARAM | HAS_VAR | HAS_BULLET)
 
 
 def _sym_kind(it) -> bool:
@@ -245,27 +255,11 @@ def split_task(c: Configuration, l: int, pgen: ParamGen):
     first = c.stack[l - 1]
     filled = TimedApp(
         first.fname,
-        tuple(_replace_bullet_seq(a, (connector,)) for a in first.args),
+        tuple(replace_bullet(a, (connector,)) for a in first.args),
         first.time,
     )
     context = Configuration((filled,) + c.stack[l:], c.tail)
     return prefix, context, connector
-
-
-def _replace_bullet_seq(seq: Seq, value: Seq) -> Seq:
-    out = []
-    for it in seq:
-        if isinstance(it, Bullet):
-            out.extend(value)
-        elif isinstance(it, Paren):
-            out.append(Paren(_replace_bullet_seq(it.items, value)))
-        elif isinstance(it, Call):
-            out.append(
-                Call(it.fname, tuple(_replace_bullet_seq(a, value) for a in it.args))
-            )
-        else:
-            out.append(it)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +274,16 @@ def _render_seq(seq: Seq) -> Seq:
     """Parameters become ordinary variables in residual code."""
     out = []
     for it in seq:
-        if isinstance(it, Param):
+        if not it.flags & (HAS_PARAM | HAS_BULLET):  # bullets must reach the raise
+            out.append(it)
+        elif isinstance(it, Param):
             out.append(Var(it.kind, str(it.num)))
         elif isinstance(it, Paren):
             out.append(Paren(_render_seq(it.items)))
         elif isinstance(it, Call):
             out.append(Call(it.fname, tuple(_render_seq(a) for a in it.args)))
-        elif isinstance(it, Bullet):
-            raise IncompleteGraph("bullet escaped into residual code")
         else:
-            out.append(it)
+            raise IncompleteGraph("bullet escaped into residual code")
     return tuple(out)
 
 
@@ -534,14 +528,14 @@ def _drop_dead_rules(d: FuncDef) -> FuncDef:
 def _subst_vars_seq(seq: Seq, env: dict) -> Seq:
     out = []
     for it in seq:
-        if isinstance(it, Var):
+        if not it.flags & HAS_VAR:
+            out.append(it)
+        elif isinstance(it, Var):
             out.extend(env.get(it, (it,)))
         elif isinstance(it, Paren):
             out.append(Paren(_subst_vars_seq(it.items, env)))
-        elif isinstance(it, Call):
-            out.append(Call(it.fname, tuple(_subst_vars_seq(a, env) for a in it.args)))
         else:
-            out.append(it)
+            out.append(Call(it.fname, tuple(_subst_vars_seq(a, env) for a in it.args)))
     return tuple(out)
 
 

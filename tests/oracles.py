@@ -3,6 +3,9 @@
 The naive embedding below follows the definition clause by clause as a
 memoized derivability search; the packaged implementation is a sequence
 dynamic program. Agreement between the two is an acceptance criterion.
+
+The naive walkers enter every subtree; the packaged ones skip subtrees
+whose structure flags show that nothing below them can change.
 """
 
 from __future__ import annotations
@@ -11,7 +14,20 @@ import random
 from functools import lru_cache
 
 from scpv.config import Configuration
-from scpv.lang import Call, FuncDef, Paren, Param, Program, Rule, Seq, Sym, Var
+from scpv.lang import (
+    BULLET,
+    Bullet,
+    Call,
+    FuncDef,
+    Paren,
+    Param,
+    Program,
+    Rule,
+    Seq,
+    Sym,
+    Var,
+    iter_items,
+)
 from scpv.interp import eval_seq  # noqa: used by helpers below
 
 
@@ -218,3 +234,86 @@ def config_to_expr(c: Configuration) -> Seq:
 def eval_ground_expr(prog, seq, fuel=2_000_000):
     value, _ = eval_seq(prog, seq, {}, fuel)
     return value
+
+
+# ---------------------------------------------------------------------------
+# Naive structural walkers: full traversals that ignore the structure flags
+
+
+def naive_contains_call(seq: Seq) -> bool:
+    for it in seq:
+        if isinstance(it, Call):
+            return True
+        if isinstance(it, Paren) and naive_contains_call(it.items):
+            return True
+    return False
+
+
+def naive_is_ground(seq: Seq) -> bool:
+    return all(isinstance(it, (Sym, Paren)) for it in iter_items(seq))
+
+
+def naive_bullet_count(seq: Seq) -> int:
+    return sum(1 for it in iter_items(seq) if isinstance(it, Bullet))
+
+
+def naive_replace_bullet(seq: Seq, value: Seq) -> Seq:
+    out = []
+    for it in seq:
+        if isinstance(it, Bullet):
+            out.extend(value)
+        elif isinstance(it, Paren):
+            out.append(Paren(naive_replace_bullet(it.items, value)))
+        elif isinstance(it, Call):
+            out.append(Call(it.fname, tuple(naive_replace_bullet(a, value) for a in it.args)))
+        else:
+            out.append(it)
+    return tuple(out)
+
+
+def naive_subst_seq(seq: Seq, theta: dict) -> Seq:
+    if not theta:
+        return seq
+    out = []
+    for it in seq:
+        if isinstance(it, Param):
+            rep = theta.get(it)
+            if rep is None:
+                out.append(it)
+            else:
+                if it.kind == "s" and len(rep) != 1:
+                    raise ValueError(f"s-parameter {it!r} bound to a sequence")
+                out.extend(rep)
+        elif isinstance(it, Paren):
+            out.append(Paren(naive_subst_seq(it.items, theta)))
+        elif isinstance(it, Call):
+            out.append(Call(it.fname, tuple(naive_subst_seq(a, theta) for a in it.args)))
+        else:
+            out.append(it)
+    return tuple(out)
+
+
+def naive_subst_vars(seq: Seq, env: dict) -> Seq:
+    out = []
+    for it in seq:
+        if isinstance(it, Var):
+            out.extend(env[it])
+        elif isinstance(it, Paren):
+            out.append(Paren(naive_subst_vars(it.items, env)))
+        elif isinstance(it, Call):
+            out.append(Call(it.fname, tuple(naive_subst_vars(a, env) for a in it.args)))
+        else:
+            out.append(it)
+    return tuple(out)
+
+
+def naive_split_leftmost_call(seq: Seq):
+    for i, it in enumerate(seq):
+        if isinstance(it, Call):
+            return it, seq[:i] + (BULLET,) + seq[i + 1 :]
+        if isinstance(it, Paren):
+            got = naive_split_leftmost_call(it.items)
+            if got is not None:
+                call, inner_ctx = got
+                return call, seq[:i] + (Paren(inner_ctx),) + seq[i + 1 :]
+    return None

@@ -51,6 +51,19 @@ def test_encode_roundtrip(model_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == text1.strip()
 
 
+def test_encode_check_passes(model_file, capsys):
+    assert main(["encode", model_file, "--check"]) == 0
+    out = capsys.readouterr()
+    assert out.out.strip() and out.err == ""
+
+
+def test_encode_check_reports_mismatch(model_file, monkeypatch, capsys):
+    monkeypatch.setattr("scpv.cli.decode_program", lambda data: None)
+    assert main(["encode", model_file, "--check"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "does not decode" in out.err
+
+
 def test_supercompile_ground_entry(model_file, tmp_path, capsys):
     out = tmp_path / "res.l"
     rc = main(

@@ -126,6 +126,7 @@ def test_indirect_first_generalization_shape(syn):
     assert rep["safe"] is True
     assert rep["passes_used"] <= 2
     assert rep["violations"] == []
+    assert rep["passes"][0]["transitive_steps"] > 0
     fg = rep["first_generalization"]
     assert fg is not None and fg["match_nil_headed"]
 

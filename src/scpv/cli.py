@@ -48,7 +48,6 @@ def _add_limit_flags(p):
     p.add_argument("--max-nodes", type=int, default=200_000)
     p.add_argument("--max-depth", type=int, default=5_000)
     p.add_argument("--time-budget-s", type=float, default=120.0)
-    p.add_argument("--seed", type=int, default=0, help="fixes sampling in reports")
     p.add_argument("--trace", default=None, help="write the event trace (JSON lines)")
 
 
@@ -132,6 +131,9 @@ def cmd_verify(args) -> int:
         )
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
+        if args.trace and e.trace:
+            with open(args.trace, "w", encoding="utf-8") as f:
+                f.write(e.trace.to_jsonl() + "\n")
         return EXIT_BUDGET
     lines = {
         "mode": report["mode"],

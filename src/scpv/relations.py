@@ -6,6 +6,10 @@ The embedding works on concatenation-normal sequences directly: a sequence
 embeds into another when its items map order-preservingly into embedding
 items, a whole remainder may dive into a paren or a call argument, and the
 basic-case restriction removes the pairs (([]), (sym)) and (([]), (s-var)).
+
+Sequence embedding is decided by one greedy left-to-right scan over the
+larger sequence, recursing only into paren and call nesting; see
+``_seq_embed`` for why matching each item as early as possible is complete.
 """
 
 from __future__ import annotations
@@ -43,22 +47,39 @@ def _small_symbol_paren(x) -> bool:
 
 @lru_cache(maxsize=1 << 20)
 def _seq_embed(a: Seq, b: Seq, guard: bool) -> bool:
-    if not a:
+    """Whether ``a`` embeds into ``b``: ``a`` is empty; or ``a`` dives whole
+    into the interior of ``b``'s head (a paren's items or one call
+    argument); or ``a[0]`` embeds into ``b[0]`` and ``a[1:]`` into
+    ``b[1:]``; or ``a`` embeds into ``b[1:]``.
+
+    The scan keeps an index ``i`` into ``a``, tries the dives of ``a[i:]``
+    at each item of ``b``, and otherwise advances ``i`` past the first item
+    ``a[i]`` embeds into. It decides the same relation because:
+
+    - embedding is closed under dropping ``a``'s head, ``E(a, b)`` implies
+      ``E(a[1:], b)`` (by induction over the three clauses), so matching
+      ``a[i]`` at the earliest item it embeds into loses nothing;
+    - a dive of ``a[i:]`` into a later item of ``b`` implies a dive of
+      ``a[i+1:]`` into the same item, which the rest of the scan finds.
+    """
+    i, n = 0, len(a)
+    if not n:
         return True
-    if not b:
-        return False
-    # whole-remainder dives: a into the first item's interior
-    head = b[0]
-    if isinstance(head, Paren) and _seq_embed(a, head.items, guard):
-        return True
-    if isinstance(head, Call):
-        for arg in head.args:
-            if _seq_embed(a, arg, guard):
+    for head in b:
+        # whole-remainder dives: a[i:] into the interior of b's item
+        if isinstance(head, Paren):
+            if _seq_embed(a[i:], head.items, guard):
                 return True
-    # match the heads, or skip b's head
-    if _item_embed(a[0], head, guard) and _seq_embed(a[1:], b[1:], guard):
-        return True
-    return _seq_embed(a, b[1:], guard)
+        elif isinstance(head, Call):
+            for arg in head.args:
+                if _seq_embed(a[i:], arg, guard):
+                    return True
+        # match a[i] at the earliest item it embeds into
+        if _item_embed(a[i], head, guard):
+            i += 1
+            if i == n:
+                return True
+    return False
 
 
 def _item_embed(x, y, guard: bool) -> bool:

@@ -1,8 +1,8 @@
 """Independent oracles and generators shared by the test suite.
 
 The naive embedding below follows the definition clause by clause as a
-memoized derivability search; the packaged implementation is a sequence
-dynamic program. Agreement between the two is an acceptance criterion.
+memoized derivability search; the packaged implementation is a greedy scan.
+Agreement between the two is an acceptance criterion.
 
 The naive walkers enter every subtree; the packaged ones skip subtrees
 whose structure flags show that nothing below them can change.
@@ -46,28 +46,38 @@ def _blocked(a, b) -> bool:
     )
 
 
+def _base_case(a) -> bool:
+    # the guarded variant: a paren holding at most one symbol is an
+    # induction base case
+    return (
+        isinstance(a, Paren)
+        and len(a.items) <= 1
+        and all(isinstance(it, Sym) for it in a.items)
+    )
+
+
 @lru_cache(maxsize=1 << 20)
-def naive_embed(s: Seq, t: Seq) -> bool:
+def naive_embed(s: Seq, t: Seq, guard: bool = False) -> bool:
     if s == t or not s:
         return True
     if not t:
         return False
     head, rest = t[0], t[1:]
     # prepending on the right keeps embeddings
-    if naive_embed(s, rest):
+    if naive_embed(s, rest, guard):
         return True
     # diving into a paren or a call argument
-    if isinstance(head, Paren) and naive_embed(s, head.items):
+    if isinstance(head, Paren) and naive_embed(s, head.items, guard):
         return True
-    if isinstance(head, Call) and any(naive_embed(s, a) for a in head.args):
+    if isinstance(head, Call) and any(naive_embed(s, a, guard) for a in head.args):
         return True
     # head-to-head congruence
-    if s and naive_term_embed(s[0], head) and naive_embed(s[1:], rest):
+    if s and naive_term_embed(s[0], head, guard) and naive_embed(s[1:], rest, guard):
         return True
     return False
 
 
-def naive_term_embed(a, b) -> bool:
+def naive_term_embed(a, b, guard: bool = False) -> bool:
     if a == b:
         return True
     if isinstance(a, (Var, Param)) and isinstance(b, (Var, Param)):
@@ -75,18 +85,20 @@ def naive_term_embed(a, b) -> bool:
     if isinstance(b, Paren):
         if _blocked(a, b):
             return False
-        if isinstance(a, Paren) and naive_embed(a.items, b.items):
+        if guard and _base_case(a):
+            return False  # a base case embeds only into itself
+        if isinstance(a, Paren) and naive_embed(a.items, b.items, guard):
             return True
-        return naive_embed((a,), b.items)
+        return naive_embed((a,), b.items, guard)
     if isinstance(b, Call):
         if (
             isinstance(a, Call)
             and a.fname == b.fname
             and len(a.args) == len(b.args)
-            and all(naive_embed(x, y) for x, y in zip(a.args, b.args))
+            and all(naive_embed(x, y, guard) for x, y in zip(a.args, b.args))
         ):
             return True
-        return any(naive_embed((a,), arg) for arg in b.args)
+        return any(naive_embed((a,), arg, guard) for arg in b.args)
     return False
 
 

@@ -96,9 +96,14 @@ def test_verify_unsafe_exit3(mutant_file, capsys):
     assert rc == 3
 
 
-def test_verify_budget_exit4(model_file, capsys):
-    rc = main(["verify", model_file, "--mode", "direct", "--max-nodes", "5"])
+def test_verify_budget_exit4(model_file, tmp_path, capsys):
+    tr = tmp_path / "t.jsonl"
+    rc = main(
+        ["verify", model_file, "--mode", "direct", "--max-nodes", "5", "--trace", str(tr)]
+    )
     assert rc == 4
+    lines = tr.read_text().splitlines()
+    assert lines and all(json.loads(line) for line in lines)
 
 
 def test_verify_indirect(model_file, tmp_path, capsys):

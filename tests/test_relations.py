@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import all_exprs, naive_embed, random_expr
 from scpv.config import Clock, Configuration, ParamGen, TimedApp
 from scpv.lang import BULLET, Call, Paren, Param, Sym, Var, parse_expr
@@ -36,16 +39,19 @@ def test_subsequence_embedding():
 
 
 def test_agrees_with_naive_exhaustive():
-    # all ground pairs over {'a', I} with combined size at most 8
+    # all ground pairs over {'a', I} with combined size at most 8, under
+    # the published relation and the whistle's guarded variant
     by_size = {n: list(all_exprs(n)) for n in range(8)}
     pairs = 0
-    for i in range(8):
-        for j in range(8 - i):
-            for a in by_size[i]:
-                for b in by_size[j]:
-                    assert embed(a, b) == naive_embed(a, b), (a, b)
-                    pairs += 1
-    assert pairs > 100_000
+    for guard in (False, True):
+        for i in range(8):
+            for j in range(8 - i):
+                for a in by_size[i]:
+                    for b in by_size[j]:
+                        got = embed(a, b, guard)
+                        assert got == naive_embed(a, b, guard), (a, b, guard)
+                        pairs += 1
+    assert pairs > 200_000
 
 
 def test_agrees_with_naive_random():
@@ -53,7 +59,57 @@ def test_agrees_with_naive_random():
     for _ in range(10_000):
         a = random_expr(rnd, rnd.randint(0, 20), evars=2, svars=2)
         b = random_expr(rnd, rnd.randint(0, 20), evars=2, svars=2)
-        assert embed(a, b) == naive_embed(a, b), (a, b)
+        for guard in (False, True):
+            assert embed(a, b, guard) == naive_embed(a, b, guard), (a, b, guard)
+
+
+LEAVES = (
+    Sym("I"), Sym("A"), Var("s", "x"), Var("e", "y"), Param("s", 1), Param("e", 2), BULLET
+)
+items = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3).map(lambda xs: Paren(tuple(xs))),
+        st.builds(
+            lambda f, args: Call(f, tuple(tuple(a) for a in args)),
+            st.sampled_from(("F", "G")),
+            st.lists(st.lists(kids, max_size=3), max_size=2),
+        ),
+    ),
+    max_leaves=12,
+)
+seqs = st.lists(items, max_size=5).map(tuple)
+
+
+@st.composite
+def seq_pairs(draw):
+    """(a, b) where b is drawn freely or built around a, so that a often
+    embeds into b."""
+    a, pre, post = draw(seqs), draw(seqs), draw(seqs)
+    b = draw(
+        st.sampled_from(
+            (post, pre + a + post, pre + (Paren(a + post),), (Call("F", (pre, a)),) + post)
+        )
+    )
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq_pairs(), st.booleans())
+def test_embedding_closed_under_dropping_the_head(pair, guard):
+    # the lemma that makes the greedy scan of _seq_embed complete, checked
+    # on the clause-by-clause oracle, which the scan must agree with here too
+    a, b = pair
+    holds = naive_embed(a, b, guard)
+    assert embed(a, b, guard) == holds
+    if holds:
+        assert naive_embed(a[1:], b, guard)
+
+
+def test_long_sequences_embed():
+    # the recursive decision procedure overflowed the stack here
+    for item in (Sym("I"), Paren((Sym("A"),))):
+        assert embed((item,) * 2000, (item,) * 2001)
 
 
 def test_reflexive_transitive_random():

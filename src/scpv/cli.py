@@ -56,9 +56,8 @@ def cmd_run(args) -> int:
     if args.function not in prog.defs:
         print(f"error: no function {args.function}", file=sys.stderr)
         return EXIT_ERROR
-    data = parse_expr(args.data)
     arity = prog.arity(args.function)
-    argv = [data] if arity == 1 else [parse_expr(a) for a in [args.data] + args.more]
+    argv = [parse_expr(a) for a in [args.data] + args.more]
     if len(argv) != arity:
         print(f"error: {args.function} expects {arity} arguments", file=sys.stderr)
         return EXIT_ERROR
@@ -146,7 +145,7 @@ def cmd_verify(args) -> int:
         lines["warnings"] = report["warnings"]
         trace = report.get("trace")
         if trace:
-            lines["events"] = len(trace.events)
+            lines["events"] = trace.event_count
     print(json.dumps(lines, indent=2, default=str))
     if args.residual:
         with open(args.residual, "w", encoding="utf-8") as f:

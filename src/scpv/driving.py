@@ -50,7 +50,6 @@ class Branch:
     contraction: dict
     successor: Optional[Configuration]  # None for abnormal (stuck) cases
     tag: str  # 'fired' | 'stuck' | 'decompose'
-    rule_index: Optional[int] = None
     deferred: tuple = ()  # (param, Configuration) continuations from tail splits
 
 
@@ -81,86 +80,86 @@ def _subst_vars(seq: Seq, env: dict) -> Seq:
     return tuple(out)
 
 
+FAIL = ("fail",)
+
+
 def _match_one(pat: Seq, data: Seq, env: dict):
     """Match one pattern against one parameterized argument.
 
-    Returns ('ok', env) | ('fail',) | ('need', request). Requests:
-    ('shape', eparam) and ('sym', sparam, item) — the latter is an ordered
-    decision: equal first, fall through otherwise.
+    Binds into ``env`` in place. Returns None on a match, FAIL, or a
+    narrowing request: ('shape', eparam) or ('sym', sparam, item) — the
+    latter is an ordered decision: equal first, fall through otherwise.
+    After FAIL or a request ``env`` may hold partial bindings; callers
+    start every rule attempt from a fresh dict.
     """
     i = j = 0
     while True:
         if i >= len(pat):
             if j >= len(data):
-                return ("ok", env)
+                return None
             d = data[j]
-            if isinstance(d, Param) and d.kind == "e":
-                return ("need", ("shape", d))
-            return ("fail",)
+            if type(d) is Param and d.kind == "e":
+                return ("shape", d)
+            return FAIL
         p = pat[i]
-        if isinstance(p, Var) and p.kind == "e":
+        tp = type(p)
+        if tp is Var and p.kind == "e":
             rest = data[j:]
-            if p in env:
-                if env[p] == rest:
-                    return ("ok", env)
-                if is_ground(env[p]) and is_ground(rest):
-                    return ("fail",)
-                raise NotSupported(
-                    f"repeated e-variable {p!r} against open data"
-                )
-            env = dict(env)
-            env[p] = rest
-            return ("ok", env)
+            bound = env.get(p)
+            if bound is None:
+                env[p] = rest
+                return None
+            if bound == rest:
+                return None
+            if is_ground(bound) and is_ground(rest):
+                return FAIL
+            raise NotSupported(f"repeated e-variable {p!r} against open data")
         if j >= len(data):
-            return ("fail",)
+            return FAIL
         d = data[j]
-        if isinstance(d, Param) and d.kind == "e":
-            return ("need", ("shape", d))
-        if isinstance(d, (Call, Bullet)):
+        td = type(d)
+        if td is Param and d.kind == "e":
+            return ("shape", d)
+        if td is Call or td is Bullet:
             raise AssertionError(f"active or bullet data in matching: {d!r}")
-        if isinstance(p, Sym):
-            if isinstance(d, Sym):
+        if tp is Sym:
+            if td is Sym:
                 if d != p:
-                    return ("fail",)
-            elif isinstance(d, Param):  # s-parameter
-                return ("need", ("sym", d, p))
+                    return FAIL
+            elif td is Param:  # s-parameter
+                return ("sym", d, p)
             else:
-                return ("fail",)
-        elif isinstance(p, Var):  # s-variable
-            if p in env:
-                b = env[p][0]
-                if isinstance(b, Sym):
-                    if isinstance(d, Sym):
-                        if d != b:
-                            return ("fail",)
-                    elif isinstance(d, Param):
-                        return ("need", ("sym", d, b))
-                    else:
-                        return ("fail",)
-                else:  # bound to an s-parameter
-                    if isinstance(d, Sym):
-                        return ("need", ("sym", b, d))
-                    if isinstance(d, Param):
-                        if d == b:
-                            pass
-                        else:
-                            return ("need", ("sym", d, b))
-                    else:
-                        return ("fail",)
-            else:
-                if isinstance(d, Sym) or (isinstance(d, Param) and d.kind == "s"):
-                    env = dict(env)
+                return FAIL
+        elif tp is Var:  # s-variable
+            bound = env.get(p)
+            if bound is None:
+                if td is Sym or td is Param:
                     env[p] = (d,)
                 else:
-                    return ("fail",)
-        elif isinstance(p, Paren):
-            if isinstance(d, Paren):
-                got = _match_one(p.items, d.items, env)
-                if got[0] != "ok":
-                    return got
-                env = got[1]
+                    return FAIL
             else:
-                return ("fail",)
+                b = bound[0]
+                if type(b) is Sym:
+                    if td is Sym:
+                        if d != b:
+                            return FAIL
+                    elif td is Param:
+                        return ("sym", d, b)
+                    else:
+                        return FAIL
+                elif td is Sym:  # bound to an s-parameter
+                    return ("sym", b, d)
+                elif td is Param:
+                    if d != b:
+                        return ("sym", d, b)
+                else:
+                    return FAIL
+        elif tp is Paren:
+            if td is not Paren:
+                return FAIL
+            got = _match_one(p.items, d.items, env)
+            if got is not None:
+                return got
         else:
             raise AssertionError(f"bad pattern item {p!r}")
         i += 1
@@ -168,12 +167,12 @@ def _match_one(pat: Seq, data: Seq, env: dict):
 
 
 def _match_rule(lhs: tuple, args: tuple, env: dict):
+    """Match every argument in turn; the result as for ``_match_one``."""
     for pat, d in zip(lhs, args):
         got = _match_one(pat, d, env)
-        if got[0] != "ok":
+        if got is not None:
             return got
-        env = got[1]
-    return ("ok", env)
+    return None
 
 
 def _shape_cases(e: Param, pgen: ParamGen):
@@ -188,19 +187,57 @@ def _shape_cases(e: Param, pgen: ParamGen):
 # Driving proper
 
 
-def _walk_rules(rules, args, pgen: ParamGen, warn=None):
-    """Ordered branch enumeration: list of (theta, kind, rule_idx, env)."""
+def rule_table(prog: Program, fname: str) -> tuple:
+    """The rules of ``fname`` as ``(lhs, rhs, chain, ctx)``, built on first use
+    and kept on the program.
+
+    ``(chain, ctx) = decompose_expr(rhs)``. Decomposing before instantiation
+    is exact: ``decompose_expr(_subst_vars(rhs, env))`` is the chain with
+    ``_subst_vars`` applied to each argument, and ``_subst_vars(ctx, env)``.
+    The values of ``env`` come from the top entry's arguments, which hold no
+    call (nested calls are hoisted before a rule fires) and no bullet
+    (``check_config``), so substitution moves no call and adds no bullet.
+    """
+    table = prog.rule_tables.get(fname)
+    if table is None:
+        if fname not in prog.defs:
+            raise ValueError(f"call to undefined function {fname}")
+        table = tuple(
+            (r.lhs, r.rhs) + tuple(decompose_expr(r.rhs)) for r in prog.rules(fname)
+        )
+        prog.rule_tables[fname] = table
+    return table
+
+
+def _walk_rules(table, args, pgen: ParamGen, warn=None):
+    """Ordered branch enumeration: list of (theta, kind, rule_idx, env).
+
+    The first rule that does not fail decides the common case alone: if it
+    fires, that is the only branch. If it needs narrowing, the ordered walk
+    starts there, since every earlier rule fails on these arguments.
+    """
+    args = tuple(args)
+    for first, rule in enumerate(table):
+        env = {}
+        got = _match_rule(rule[0], args, env)
+        if got is None:
+            return [({}, "fire", first, env)]
+        if got is not FAIL:
+            break
+    else:
+        return [({}, "stuck", None, None)]
+
     out = []
 
     def walk(cur_args, theta, start):
-        for ri in range(start, len(rules)):
-            got = _match_rule(rules[ri].lhs, cur_args, {})
-            if got[0] == "fail":
+        for ri in range(start, len(table)):
+            env = {}
+            req = _match_rule(table[ri][0], cur_args, env)
+            if req is FAIL:
                 continue
-            if got[0] == "ok":
-                out.append((theta, "fire", ri, got[1]))
+            if req is None:
+                out.append((theta, "fire", ri, env))
                 return
-            req = got[1]
             if req[0] == "shape":
                 for case in _shape_cases(req[1], pgen):
                     walk(
@@ -224,22 +261,30 @@ def _walk_rules(rules, args, pgen: ParamGen, warn=None):
             raise AssertionError(req)
         out.append((theta, "stuck", None, None))
 
-    walk(tuple(args), {}, 0)
+    walk(args, {}, first)
     return out
 
 
-def _fire_successor(config: Configuration, theta: dict, rhs: Seq, env: dict,
+def _fire_successor(config: Configuration, theta: dict, rule: tuple, env: dict,
                     clock: Clock, pgen: ParamGen):
     """Pop the fired top, thread its result, restore stack form."""
-    result = _subst_vars(rhs, env)
-    rest = [subst_app(e, theta) for e in config.stack[1:]]
-    tail = subst_seq(config.tail, theta)
-    if rest:
-        chain, ctx = decompose_expr(result)
-        entries = timed_chain(chain, clock) if chain else ()
-        rest[0] = plug_app(rest[0], ctx)
-        return Configuration(entries + tuple(rest), tail), ()
-    raw = replace_bullet(tail, result) if config.stack else result
+    _, rhs, chain, ctx = rule
+    stack = config.stack
+    if len(stack) > 1:
+        below, tail = stack[1:], config.tail
+        if theta:
+            below = tuple(subst_app(e, theta) for e in below)
+            tail = subst_seq(tail, theta)
+        # the outermost application of the chain gets the earliest label
+        times = [clock.tick() for _ in chain]
+        times.reverse()
+        entries = tuple(
+            TimedApp(c.fname, tuple(_subst_vars(a, env) for a in c.args), t)
+            for c, t in zip(chain, times)
+        )
+        plugged = plug_app(below[0], _subst_vars(ctx, env))
+        return Configuration(entries + (plugged,) + below[1:], tail), ()
+    raw = replace_bullet(subst_seq(config.tail, theta), _subst_vars(rhs, env))
     succ, deferred = decompose(raw, clock, pgen)
     return succ, tuple(deferred)
 
@@ -269,18 +314,14 @@ def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
                 "branches", branches=(Branch({}, succ, "decompose"),)
             )
 
-    if top.fname not in prog.defs:
-        raise ValueError(f"call to undefined function {top.fname}")
-    raw = _walk_rules(prog.rules(top.fname), top.args, pgen, warn)
+    table = rule_table(prog, top.fname)
     branches = []
-    for theta, kind, ri, env in raw:
+    for theta, kind, ri, env in _walk_rules(table, top.args, pgen, warn):
         if kind == "stuck":
             branches.append(Branch(theta, None, "stuck"))
         else:
-            succ, deferred = _fire_successor(
-                config, theta, prog.rules(top.fname)[ri].rhs, env, clock, pgen
-            )
-            branches.append(Branch(theta, succ, "fired", ri, deferred))
+            succ, deferred = _fire_successor(config, theta, table[ri], env, clock, pgen)
+            branches.append(Branch(theta, succ, "fired", deferred))
     return StepResult("branches", branches=tuple(branches))
 
 
@@ -290,51 +331,3 @@ def is_renaming(theta: dict) -> bool:
         if len(v) != 1 or not isinstance(v[0], Param) or v[0].kind != p.kind:
             return False
     return True
-
-
-def is_transitive(config: Configuration, prog: Program) -> bool:
-    """A configuration whose one-step unfolding has a single outgoing edge.
-
-    Probed by actually driving with throwaway clocks, per the definition.
-    """
-    res = drive(config, prog, Clock(10**9), ParamGen(10**9))
-    if res.kind == "passive":
-        return False
-    if res.kind == "split":
-        return True
-    if len(res.branches) != 1:
-        return False
-    b = res.branches[0]
-    return b.tag != "stuck" and is_renaming(b.contraction)
-
-
-def narrow_match(pat: Seq, data: Seq, pgen: ParamGen, env: Optional[dict] = None):
-    """Complete ordered case analysis of one pattern against open data.
-
-    Returns (successes, failures): successes are (contraction, env) pairs,
-    failures are contractions of the definitely-failing cases, in decision
-    order. Every ground instance of the data is covered by exactly one case
-    under first-match reading.
-    """
-    succ, fail = [], []
-
-    def walk(d, theta, env):
-        got = _match_one(pat, d, env)
-        if got[0] == "ok":
-            succ.append((theta, got[1]))
-            return
-        if got[0] == "fail":
-            fail.append(theta)
-            return
-        req = got[1]
-        if req[0] == "shape":
-            for case in _shape_cases(req[1], pgen):
-                walk(subst_seq(d, case), compose_subst(theta, case), env)
-            return
-        sparam, item = req[1], req[2]
-        case = {sparam: (item,)}
-        walk(subst_seq(d, case), compose_subst(theta, case), env)
-        fail.append(theta)
-
-    walk(tuple(data), {}, dict(env or {}))
-    return succ, fail

@@ -140,10 +140,16 @@ class ProcessGraph:
 
 
 class Trace:
-    """Deterministic event log; serializes to JSON lines, schema v1."""
+    """Deterministic event log; serializes to JSON lines, schema v1.
+
+    ``emit`` stores configurations as they are (they are frozen); their text
+    is printed once, when ``events`` or ``to_jsonl`` first reads the event,
+    so a run that writes no trace prints no configuration.
+    """
 
     def __init__(self, instrument: bool = False):
-        self.events: list[dict] = []
+        self._events: list[dict] = []
+        self._rendered = 0
         self.instrument = instrument
         self.violations: list[str] = []
         self.first_generalization: Optional[dict] = None
@@ -155,7 +161,21 @@ class Trace:
     def emit(self, ev: str, **fields) -> None:
         rec = {"v": 1, "ev": ev}
         rec.update(fields)
-        self.events.append(rec)
+        self._events.append(rec)
+
+    @property
+    def event_count(self) -> int:
+        return len(self._events)
+
+    @property
+    def events(self) -> list[dict]:
+        """The event records, with every configuration printed."""
+        for rec in self._events[self._rendered :]:
+            rec.update(
+                [(k, _print_config(v)) for k, v in rec.items() if isinstance(v, Configuration)]
+            )
+        self._rendered = len(self._events)
+        return self._events
 
     def warn(self, msg: str) -> None:
         self.warnings.append(msg)
@@ -432,7 +452,7 @@ class Engine:
         self.trace.emit(
             "Drive",
             node=node.id,
-            config=_print_config(node.config),
+            config=node.config,
             branches=[
                 {"theta": _theta_str(b.contraction), "tag": b.tag}
                 for b in branches
@@ -541,7 +561,7 @@ class Engine:
             "Generalize",
             node=node.id,
             ancestor=anc_id,
-            gen=_print_config(g.gen),
+            gen=g.gen,
             theta1=_theta_str(g.theta1),
             theta2=_theta_str(g.theta2),
         )
@@ -591,8 +611,8 @@ class Engine:
             "TaskSplit",
             node=anc_id,
             split=l,
-            prefix=_print_config(prefix),
-            context=_print_config(context),
+            prefix=prefix,
+            context=context,
         )
         killed = self.graph.kill_subtree(anc_id)
         self._prune_agenda()

@@ -152,10 +152,16 @@ class FuncDef:
 
 
 class Program:
-    """Ordered collection of function definitions."""
+    """Ordered collection of function definitions.
+
+    ``rule_tables`` holds driving's per-function rule tables, built on a
+    function's first drive (``driving.rule_table``); it takes no part in
+    equality.
+    """
 
     def __init__(self, defs: Iterable[FuncDef] = ()):
         self.defs: dict[str, FuncDef] = {}
+        self.rule_tables: dict[str, tuple] = {}
         for d in defs:
             if d.name in self.defs:
                 raise LangError(f"duplicate definition of {d.name}")

@@ -171,6 +171,11 @@ def _inst_seq(pat: Seq, subj: Seq, th: dict, budget: _Budget) -> Optional[dict]:
     if not pat:
         return th if not subj else None
     p, rest = pat[0], pat[1:]
+    if not p.flags & (HAS_PARAM | HAS_VAR):
+        # a pattern item without parameters holds no choice point: equality decides it
+        if not subj or p != subj[0]:
+            return None
+        return _inst_seq(rest, subj[1:], th, budget)
     if isinstance(p, Param) and p.kind == "e":
         if p in th:
             v = th[p]

@@ -6,6 +6,11 @@ Agreement between the two is an acceptance criterion.
 
 The naive walkers enter every subtree; the packaged ones skip subtrees
 whose structure flags show that nothing below them can change.
+
+The reference rule matcher at the end copies its env at each binding, and
+the reference fold matcher enters every pattern item; the packaged ones bind
+in place and decide parameter-free pattern items by equality, and are
+checked against them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from scpv.config import Configuration
+from scpv.config import Clock, Configuration, ParamGen, compose_subst, subst_seq
+from scpv.driving import FAIL, NotSupported, _match_one, _shape_cases, drive, is_renaming
 from scpv.lang import (
     BULLET,
     Bullet,
@@ -26,6 +32,7 @@ from scpv.lang import (
     Seq,
     Sym,
     Var,
+    is_ground,
     iter_items,
 )
 from scpv.interp import eval_seq  # noqa: used by helpers below
@@ -328,4 +335,201 @@ def naive_split_leftmost_call(seq: Seq):
             if got is not None:
                 call, inner_ctx = got
                 return call, seq[:i] + (Paren(inner_ctx),) + seq[i + 1 :]
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Reference matchers: copying, tuple-returning rule matching, and fold
+# matching that enters every pattern item
+
+
+def ref_match_one(pat: Seq, data: Seq, env: dict):
+    """Returns ('ok', env) | ('fail',) | ('need', request), never mutating
+    the env it is given."""
+    i = j = 0
+    while True:
+        if i >= len(pat):
+            if j >= len(data):
+                return ("ok", env)
+            d = data[j]
+            if isinstance(d, Param) and d.kind == "e":
+                return ("need", ("shape", d))
+            return ("fail",)
+        p = pat[i]
+        if isinstance(p, Var) and p.kind == "e":
+            rest = data[j:]
+            if p in env:
+                if env[p] == rest:
+                    return ("ok", env)
+                if is_ground(env[p]) and is_ground(rest):
+                    return ("fail",)
+                raise NotSupported(f"repeated e-variable {p!r} against open data")
+            env = dict(env)
+            env[p] = rest
+            return ("ok", env)
+        if j >= len(data):
+            return ("fail",)
+        d = data[j]
+        if isinstance(d, Param) and d.kind == "e":
+            return ("need", ("shape", d))
+        if isinstance(d, (Call, Bullet)):
+            raise AssertionError(f"active or bullet data in matching: {d!r}")
+        if isinstance(p, Sym):
+            if isinstance(d, Sym):
+                if d != p:
+                    return ("fail",)
+            elif isinstance(d, Param):  # s-parameter
+                return ("need", ("sym", d, p))
+            else:
+                return ("fail",)
+        elif isinstance(p, Var):  # s-variable
+            if p in env:
+                b = env[p][0]
+                if isinstance(b, Sym):
+                    if isinstance(d, Sym):
+                        if d != b:
+                            return ("fail",)
+                    elif isinstance(d, Param):
+                        return ("need", ("sym", d, b))
+                    else:
+                        return ("fail",)
+                else:  # bound to an s-parameter
+                    if isinstance(d, Sym):
+                        return ("need", ("sym", b, d))
+                    if isinstance(d, Param):
+                        if d != b:
+                            return ("need", ("sym", d, b))
+                    else:
+                        return ("fail",)
+            else:
+                if isinstance(d, Sym) or (isinstance(d, Param) and d.kind == "s"):
+                    env = dict(env)
+                    env[p] = (d,)
+                else:
+                    return ("fail",)
+        elif isinstance(p, Paren):
+            if isinstance(d, Paren):
+                got = ref_match_one(p.items, d.items, env)
+                if got[0] != "ok":
+                    return got
+                env = got[1]
+            else:
+                return ("fail",)
+        else:
+            raise AssertionError(f"bad pattern item {p!r}")
+        i += 1
+        j += 1
+
+
+def ref_match_rule(lhs: tuple, args: tuple, env: dict):
+    for pat, d in zip(lhs, args):
+        got = ref_match_one(pat, d, env)
+        if got[0] != "ok":
+            return got
+        env = got[1]
+    return ("ok", env)
+
+
+def narrow_match(pat: Seq, data: Seq, pgen, env=None):
+    """Complete ordered case analysis of one pattern against open data.
+
+    Returns (successes, failures): successes are (contraction, env) pairs,
+    failures are contractions of the definitely-failing cases, in decision
+    order. Every ground instance of the data is covered by exactly one case
+    under first-match reading.
+    """
+    succ, fail = [], []
+
+    def walk(d, theta, env):
+        bound = dict(env)
+        req = _match_one(pat, d, bound)
+        if req is None:
+            succ.append((theta, bound))
+            return
+        if req is FAIL:
+            fail.append(theta)
+            return
+        if req[0] == "shape":
+            for case in _shape_cases(req[1], pgen):
+                walk(subst_seq(d, case), compose_subst(theta, case), env)
+            return
+        sparam, item = req[1], req[2]
+        case = {sparam: (item,)}
+        walk(subst_seq(d, case), compose_subst(theta, case), env)
+        fail.append(theta)
+
+    walk(tuple(data), {}, dict(env or {}))
+    return succ, fail
+
+
+def is_transitive(config: Configuration, prog: Program) -> bool:
+    """A configuration whose one-step unfolding has a single outgoing edge.
+
+    Probed by actually driving with throwaway clocks, per the definition.
+    """
+    res = drive(config, prog, Clock(10**9), ParamGen(10**9))
+    if res.kind == "passive":
+        return False
+    if res.kind == "split":
+        return True
+    if len(res.branches) != 1:
+        return False
+    b = res.branches[0]
+    return b.tag != "stuck" and is_renaming(b.contraction)
+
+
+def ref_inst_seq(pat: Seq, subj: Seq, th: dict, budget):
+    """Fold matching that enters every pattern item; ``budget`` is a
+    ``transform._Budget``."""
+    if not budget.spend():
+        return None
+    if not pat:
+        return th if not subj else None
+    p, rest = pat[0], pat[1:]
+    if isinstance(p, Param) and p.kind == "e":
+        if p in th:
+            v = th[p]
+            if subj[: len(v)] == v:
+                return ref_inst_seq(rest, subj[len(v) :], th, budget)
+            return None
+        for k in range(len(subj) + 1):
+            th2 = dict(th)
+            th2[p] = subj[:k]
+            got = ref_inst_seq(rest, subj[k:], th2, budget)
+            if got is not None:
+                return got
+        return None
+    if not subj:
+        return None
+    d = subj[0]
+    if isinstance(p, Param):  # s-parameter
+        if not (isinstance(d, Sym) or (isinstance(d, Param) and d.kind == "s")):
+            return None
+        if p in th:
+            if th[p] != (d,):
+                return None
+            return ref_inst_seq(rest, subj[1:], th, budget)
+        th2 = dict(th)
+        th2[p] = (d,)
+        return ref_inst_seq(rest, subj[1:], th2, budget)
+    if isinstance(p, (Sym, Bullet)):
+        if p != d:
+            return None
+        return ref_inst_seq(rest, subj[1:], th, budget)
+    if isinstance(p, Paren):
+        if not isinstance(d, Paren):
+            return None
+        got = ref_inst_seq(p.items, d.items, th, budget)
+        if got is None:
+            return None
+        return ref_inst_seq(rest, subj[1:], got, budget)
+    if isinstance(p, Call):
+        if not (isinstance(d, Call) and d.fname == p.fname and len(d.args) == len(p.args)):
+            return None
+        got = th
+        for pa, da in zip(p.args, d.args):
+            got = ref_inst_seq(pa, da, got, budget)
+            if got is None:
+                return None
+        return ref_inst_seq(rest, subj[1:], got, budget)
     return None

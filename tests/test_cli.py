@@ -42,6 +42,14 @@ def test_run_missing_function(model_file, capsys):
     assert main(["run", model_file, "Nope", "[]"]) == 1
 
 
+def test_run_rejects_extra_arguments(model_file, capsys):
+    rc = main(["run", model_file, "Test", "(Invalid) (Dirty) (Valid I)", "junk", "more"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Test expects 1 arguments" in captured.err
+
+
 def test_encode_roundtrip(model_file, tmp_path, capsys):
     out = tmp_path / "synapse.enc"
     rc = main(["encode", model_file, "--check", "-o", str(out)])
@@ -89,6 +97,16 @@ def test_verify_direct_exit0(model_file, capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["safe"] is True
+
+
+def test_verify_trace_level_counts_written_events(model_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCPV_TRACE_LEVEL", "1")
+    tr = tmp_path / "t.jsonl"
+    rc = main(["verify", model_file, "--mode", "direct", "--trace", str(tr)])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["events"] == len(tr.read_text().splitlines()) > 0
+    assert "warnings" in rep
 
 
 def test_verify_unsafe_exit3(mutant_file, capsys):

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from oracles import config_to_expr, eval_ground_expr, random_ground
+from oracles import config_to_expr, eval_ground_expr, is_transitive, narrow_match, random_ground
 from scpv.config import Clock, Configuration, ParamGen, TimedApp, subst_seq
 from scpv.corpus import self_interpreter, synapse_model
-from scpv.driving import drive, is_transitive, narrow_match
+from scpv.driving import drive
 from scpv.encoding import encode_expr
 from scpv.interp import UNDEFINED, eval_call
 from scpv.lang import BULLET, Paren, Param, Sym, Var, parse_expr

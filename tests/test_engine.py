@@ -78,6 +78,25 @@ def test_trace_determinism(syn):
         assert json.loads(line)["v"] == 1
 
 
+def test_trace_renders_the_same_text_on_every_read(syn):
+    # configurations are stored on emit and printed when first read
+    entry, _ = make_entry_config(syn, "Main")
+    _, _, fresh = supercompile(syn, entry, Limits(), Trace(), entry_name="M")
+    _, _, read = supercompile(syn, entry, Limits(), Trace(), entry_name="M")
+    count = read.event_count
+    events = read.events
+    assert count == len(events) > 0
+    printed = [e["config"] for e in events if "config" in e]
+    assert printed and all(isinstance(c, str) for c in printed)
+    text = fresh.to_jsonl()
+    assert fresh.to_jsonl() == text
+    assert read.to_jsonl() == text
+    # events emitted after a read are printed on the next read
+    read.emit("Drive", node=-1, config=entry)
+    assert read.events[-1]["config"] == repr(entry)
+    assert read.to_jsonl() == text + "\n" + json.dumps(read.events[-1], sort_keys=True)
+
+
 def test_mutant_unsafe_direct():
     mut = synapse_unsafe_mutant()
     rep = verify_protocol(mut, mode="direct", passes=1, limits=Limits(time_budget_s=60))

@@ -1,0 +1,197 @@
+"""Rule matching, pre-decomposed rule tables and fold matching.
+
+The packaged matchers are checked against the reference copies in
+``oracles.py`` on random patterns and parameterized data, and the rule
+table's pre-decomposition against decomposing after instantiation.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import _random_pattern, ref_inst_seq, ref_match_rule
+from scpv.config import decompose_expr
+from scpv.corpus import (
+    MESI_SPEC_SRC,
+    MSI_SPEC_SRC,
+    SYNAPSE_SPEC_SRC,
+    generate_model,
+    parse_protocol_spec,
+    self_interpreter,
+    synapse_model,
+    synapse_unsafe_mutant,
+)
+from scpv.driving import FAIL, NotSupported, _match_rule, _subst_vars, rule_table
+from scpv.lang import BULLET, Call, Paren, Param, Sym, Var, vars_of
+from scpv.transform import _MATCH_BUDGET, _Budget, _inst_seq
+
+SYMS = (Sym("a", char=True), Sym("I"), Sym("T"))
+S_PARAMS = (Param("s", 1), Param("s", 2))
+E_PARAMS = (Param("e", 3), Param("e", 4))
+
+
+def passive(leaves):
+    """Sequences of the given leaves and parens: no call, no bullet."""
+    item = st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.lists(kids, max_size=3).map(lambda xs: Paren(tuple(xs))),
+        max_leaves=10,
+    )
+    return st.lists(item, max_size=4).map(tuple)
+
+
+open_data = passive(SYMS + S_PARAMS + E_PARAMS)
+sym_like = st.sampled_from(SYMS + S_PARAMS)
+
+# rule patterns: symbols and two s-variables at any depth, an optional
+# trailing e-variable per level; few names, so that variables repeat
+SX, SY, EX, EY = Var("s", "x"), Var("s", "y"), Var("e", "x"), Var("e", "y")
+
+
+def _with_tail(items):
+    return st.tuples(
+        st.lists(items, max_size=3), st.sampled_from(((), (EX,), (EY,)))
+    ).map(lambda t: tuple(t[0]) + t[1])
+
+
+drawn_patterns = _with_tail(
+    st.recursive(
+        st.sampled_from(SYMS[:2] + (SX, SY)),
+        lambda kids: _with_tail(kids).map(Paren),
+        max_leaves=8,
+    )
+)
+
+
+def fill(seq, hole, value):
+    """seq with each occurrence ``h`` of a ``hole`` item replaced by ``value(h)``."""
+    out = []
+    for it in seq:
+        if isinstance(it, hole):
+            out.extend(value(it))
+        elif isinstance(it, Paren):
+            out.append(Paren(fill(it.items, hole, value)))
+        elif isinstance(it, Call):
+            out.append(Call(it.fname, tuple(fill(a, hole, value) for a in it.args)))
+        else:
+            out.append(it)
+    return tuple(out)
+
+
+def draw_value(draw, v, values):
+    """One symbol-like item for an s-variable or s-parameter, a sequence
+    from ``values`` for an e-variable or e-parameter."""
+    return (draw(sym_like),) if v.kind == "s" else draw(values)
+
+
+def draw_env(draw, names, values):
+    return {v: draw_value(draw, v, values) for v in names}
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except NotSupported:
+        return "raise", NotSupported
+
+
+matcher_settings = settings(max_examples=400, deadline=None)
+
+
+@matcher_settings
+@given(
+    st.one_of(
+        st.lists(drawn_patterns, min_size=1, max_size=2),
+        st.randoms(use_true_random=False).map(
+            lambda rnd: [_random_pattern(rnd, rnd.randint(0, 4))]
+        ),
+    ),
+    st.sampled_from(("instance", "per-occurrence", "random")),
+    st.data(),
+)
+def test_matcher_agrees_with_reference(lhs, shape, data):
+    lhs = tuple(lhs)
+    # data shaped like the pattern gets most attempts far; a fresh value per
+    # occurrence of a repeated variable reaches the bound-variable cases
+    if shape == "instance":
+        values = draw_env(data.draw, vars_of(sum(lhs, ())), open_data)
+        args = tuple(fill(p, Var, values.__getitem__) for p in lhs)
+    elif shape == "per-occurrence":
+        fresh = lambda v: draw_value(data.draw, v, open_data)  # noqa: E731
+        args = tuple(fill(p, Var, fresh) for p in lhs)
+    else:
+        args = tuple(data.draw(open_data) for _ in lhs)
+    env = {}
+    got = outcome(_match_rule, lhs, args, env)
+    want = outcome(ref_match_rule, lhs, args, {})
+    if want[0] == "raise":
+        assert got == want
+        return
+    kind, result = got
+    ref = want[1]
+    if ref[0] == "ok":
+        assert result is None
+        assert env == ref[1]
+    elif ref[0] == "fail":
+        assert result is FAIL
+    else:
+        assert result == ref[1]
+
+
+def _shipped_programs():
+    specs = (MSI_SPEC_SRC, MESI_SPEC_SRC, SYNAPSE_SPEC_SRC)
+    models = [synapse_model(), synapse_unsafe_mutant()]
+    models += [generate_model(parse_protocol_spec(src)) for src in specs]
+    return [self_interpreter({"Synapse": models[0]})] + models
+
+
+ALL_RULES = [
+    (prog, fname, i)
+    for prog in _shipped_programs()
+    for fname in prog.defs
+    for i in range(len(prog.rules(fname)))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_RULES), st.data())
+def test_predecomposition_commutes_with_instantiation(case, data):
+    prog, fname, i = case
+    lhs, rhs, chain, ctx = rule_table(prog, fname)[i]
+    assert (chain, ctx) == decompose_expr(rhs)
+    env = draw_env(data.draw, vars_of(rhs), open_data)
+    want = decompose_expr(_subst_vars(rhs, env))
+    inst = [Call(c.fname, tuple(_subst_vars(a, env) for a in c.args)) for c in chain]
+    assert (inst, _subst_vars(ctx, env)) == want
+
+
+# fold patterns: configuration items over parameters, with calls and bullets
+fold_leaves = SYMS + S_PARAMS + E_PARAMS + (BULLET,)
+fold_item = st.recursive(
+    st.sampled_from(fold_leaves),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3).map(lambda xs: Paren(tuple(xs))),
+        st.builds(
+            lambda f, args: Call(f, tuple(tuple(a) for a in args)),
+            st.sampled_from(("F", "G")),
+            st.lists(st.lists(kids, max_size=2), max_size=2),
+        ),
+    ),
+    max_leaves=12,
+)
+fold_seqs = st.lists(fold_item, max_size=4).map(tuple)
+
+
+@matcher_settings
+@given(fold_seqs, st.booleans(), st.data())
+def test_fold_matcher_agrees_with_reference(pat, close, data):
+    if close:
+        theta = draw_env(data.draw, S_PARAMS + E_PARAMS, fold_seqs)
+        subj = fill(pat, Param, theta.__getitem__)
+    else:
+        subj = data.draw(fold_seqs)
+    ref_budget, budget = _Budget(_MATCH_BUDGET), _Budget(_MATCH_BUDGET)
+    want = ref_inst_seq(pat, subj, {}, ref_budget)
+    got = _inst_seq(pat, subj, {}, budget)
+    if ref_budget.n > 0:
+        assert got == want
+    assert budget.n >= ref_budget.n

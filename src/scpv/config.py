@@ -231,12 +231,15 @@ def decompose_expr(seq: Seq):
     return chain, ctx
 
 
-def timed_chain(chain, clock: Clock):
-    """Stamp a chain with fresh labels, outermost application first."""
+def timed_chain(chain, clock: Clock, args=None):
+    """Stamp a chain with fresh labels, outermost application first.
+
+    ``args``, when given, maps each application's arguments on the way."""
     times = [clock.tick() for _ in chain]
     # chain is innermost-first; the outermost gets the earliest label
     return tuple(
-        TimedApp(c.fname, c.args, t) for c, t in zip(chain, reversed(times))
+        TimedApp(c.fname, c.args if args is None else args(c.args), t)
+        for c, t in zip(chain, reversed(times))
     )
 
 

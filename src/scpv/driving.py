@@ -210,59 +210,46 @@ def rule_table(prog: Program, fname: str) -> tuple:
 
 
 def _walk_rules(table, args, pgen: ParamGen, warn=None):
-    """Ordered branch enumeration: list of (theta, kind, rule_idx, env).
-
-    The first rule that does not fail decides the common case alone: if it
-    fires, that is the only branch. If it needs narrowing, the ordered walk
-    starts there, since every earlier rule fails on these arguments.
-    """
-    args = tuple(args)
-    for first, rule in enumerate(table):
-        env = {}
-        got = _match_rule(rule[0], args, env)
-        if got is None:
-            return [({}, "fire", first, env)]
-        if got is not FAIL:
-            break
-    else:
-        return [({}, "stuck", None, None)]
-
+    """Ordered branch enumeration: list of (theta, kind, rule_idx, env)."""
     out = []
-
-    def walk(cur_args, theta, start):
-        for ri in range(start, len(table)):
-            env = {}
-            req = _match_rule(table[ri][0], cur_args, env)
-            if req is FAIL:
-                continue
-            if req is None:
-                out.append((theta, "fire", ri, env))
-                return
-            if req[0] == "shape":
-                for case in _shape_cases(req[1], pgen):
-                    walk(
-                        tuple(subst_seq(a, case) for a in cur_args),
-                        compose_subst(theta, case),
-                        ri,
-                    )
-                return
-            if req[0] == "sym":
-                sparam, item = req[1], req[2]
-                if isinstance(item, Param) and warn:
-                    warn(f"parameter-parameter symbol decision {sparam!r}={item!r}")
-                case = {sparam: (item,)}
-                walk(
-                    tuple(subst_seq(a, case) for a in cur_args),
-                    compose_subst(theta, case),
-                    ri,
-                )
-                walk(cur_args, theta, ri + 1)
-                return
-            raise AssertionError(req)
-        out.append((theta, "stuck", None, None))
-
-    walk(args, {}, first)
+    _walk(table, tuple(args), {}, 0, pgen, warn, out)
     return out
+
+
+def _walk(table, args, theta, start, pgen, warn, out):
+    # module-level rather than a closure, which would be rebuilt on every drive
+    for ri in range(start, len(table)):
+        env = {}
+        req = _match_rule(table[ri][0], args, env)
+        if req is FAIL:
+            continue
+        if req is None:
+            out.append((theta, "fire", ri, env))
+            return
+        if req[0] == "shape":
+            for case in _shape_cases(req[1], pgen):
+                _walk(
+                    table,
+                    tuple(subst_seq(a, case) for a in args),
+                    compose_subst(theta, case),
+                    ri, pgen, warn, out,
+                )
+            return
+        if req[0] == "sym":
+            sparam, item = req[1], req[2]
+            if isinstance(item, Param) and warn:
+                warn(f"parameter-parameter symbol decision {sparam!r}={item!r}")
+            case = {sparam: (item,)}
+            _walk(
+                table,
+                tuple(subst_seq(a, case) for a in args),
+                compose_subst(theta, case),
+                ri, pgen, warn, out,
+            )
+            _walk(table, args, theta, ri + 1, pgen, warn, out)
+            return
+        raise AssertionError(req)
+    out.append((theta, "stuck", None, None))
 
 
 def _fire_successor(config: Configuration, theta: dict, rule: tuple, env: dict,
@@ -275,12 +262,8 @@ def _fire_successor(config: Configuration, theta: dict, rule: tuple, env: dict,
         if theta:
             below = tuple(subst_app(e, theta) for e in below)
             tail = subst_seq(tail, theta)
-        # the outermost application of the chain gets the earliest label
-        times = [clock.tick() for _ in chain]
-        times.reverse()
-        entries = tuple(
-            TimedApp(c.fname, tuple(_subst_vars(a, env) for a in c.args), t)
-            for c, t in zip(chain, times)
+        entries = timed_chain(
+            chain, clock, lambda args: tuple(_subst_vars(a, env) for a in args)
         )
         plugged = plug_app(below[0], _subst_vars(ctx, env))
         return Configuration(entries + (plugged,) + below[1:], tail), ()

@@ -202,10 +202,6 @@ def _inst_seq(pat: Seq, subj: Seq, th: dict, budget: _Budget) -> Optional[dict]:
         th2 = dict(th)
         th2[p] = (d,)
         return _inst_seq(rest, subj[1:], th2, budget)
-    if isinstance(p, (Sym, Bullet)):
-        if p != d:
-            return None
-        return _inst_seq(rest, subj[1:], th, budget)
     if isinstance(p, Paren):
         if not isinstance(d, Paren):
             return None

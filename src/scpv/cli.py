@@ -139,6 +139,7 @@ def cmd_verify(args) -> int:
         "safe": report["safe"],
         "passes_used": report["passes_used"],
         "passes": report["passes"],
+        "witness": report["witness"],
         "violations": report["violations"],
     }
     if os.environ.get("SCPV_TRACE_LEVEL", "0") not in ("", "0"):

@@ -69,10 +69,6 @@ class Configuration:
         parts.append(print_seq(self.tail))
         return ", ".join(parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.stack)
-
 
 def check_config(c: Configuration) -> None:
     """Assert the bullet and time-label invariants; used in tests and debug."""
@@ -111,10 +107,6 @@ def subst_seq(seq: Seq, theta: dict) -> Seq:
         else:
             out.append(Call(it.fname, tuple(subst_seq(a, theta) for a in it.args)))
     return tuple(out)
-
-
-def apply_subst(seq: Seq, theta: dict) -> Seq:
-    return subst_seq(seq, theta)
 
 
 def subst_app(app: TimedApp, theta: dict) -> TimedApp:
@@ -157,24 +149,6 @@ def replace_bullet(seq: Seq, value: Seq) -> Seq:
 def plug_app(app: TimedApp, value: Seq) -> TimedApp:
     """Fill the entry's bullet; the label is kept, this is the same application."""
     return TimedApp(app.fname, tuple(replace_bullet(a, value) for a in app.args), app.time)
-
-
-# ---------------------------------------------------------------------------
-# Normal form
-
-def normalize(seq) -> Seq:
-    """Flatten any stray nesting into the tuple segment form (idempotent)."""
-    out = []
-    for it in seq:
-        if isinstance(it, (tuple, list)):
-            out.extend(normalize(tuple(it)))
-        elif isinstance(it, Paren):
-            out.append(Paren(normalize(it.items)))
-        elif isinstance(it, Call):
-            out.append(Call(it.fname, tuple(normalize(a) for a in it.args)))
-        else:
-            out.append(it)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,15 @@ from .config import (
     ParamGen,
     TimedApp,
     check_config,
+    compose_subst,
     decompose,
     replace_bullet,
     subst_config,
     subst_seq,
 )
 from .driving import drive, is_renaming
+from .encoding import DecodeError, decode_expr
+from .interp import UNDEFINED, FuelExhausted, eval_call
 from .lang import (
     BULLET,
     Call,
@@ -30,9 +33,11 @@ from .lang import (
     Seq,
     Sym,
     Var as _Var,
+    is_ground,
     iter_items,
     parse_expr,
     print_seq,
+    vars_of,
 )
 from .relations import whistle
 from .transform import Incompatible, fold_instance, msg, split_task
@@ -120,15 +125,6 @@ class ProcessGraph:
             killed.append(cid)
             stack.extend(c for _, c in list(child.children) + list(child.parts))
         return killed
-
-    def fold_edges(self):
-        from .transform import FoldEdge
-
-        return [
-            FoldEdge(n.id, n.fold_target, n.fold_theta)
-            for n in self.nodes.values()
-            if not n.dead and n.kind == "fold"
-        ]
 
     def stats(self) -> dict:
         live = [n for n in self.nodes.values() if not n.dead]
@@ -717,6 +713,105 @@ def verify_safety(residual: Program, unsafe_symbol: str = "False") -> SafetyVerd
     return SafetyVerdict(not witnesses, witnesses)
 
 
+# ---------------------------------------------------------------------------
+# Counterexamples from the process graph
+
+WITNESS_FUEL = 100_000
+
+
+def _path_subst(graph: ProcessGraph, leaf_id: int) -> dict:
+    """Compose the contractions from the root down to a leaf, as one
+    substitution over the root's parameters.
+
+    At a generalized node the substitution is renamed back through its
+    ``entry_subst``: a generalization parameter that stands for a single
+    parameter of the node's first configuration passes its binding on (the
+    first binding of that parameter wins). A task-split part adds nothing.
+    Best-effort: the leaf's instance need not reach the leaf's value.
+    """
+    sigma: dict = {}
+    nid = leaf_id
+    while True:
+        node = graph.node(nid)
+        if node.entry_subst is not None:
+            back: dict = {}
+            for x, v in node.entry_subst.items():
+                if len(v) == 1 and type(v[0]) is Param and v[0] not in back:
+                    back[v[0]] = sigma.get(x, (x,))
+            sigma = back
+        if node.parent is None:
+            return sigma
+        parent = graph.node(node.parent)
+        if parent.kind == "drive":
+            theta = next(t for t, cid in parent.children if cid == nid)
+            sigma = compose_subst(theta, sigma)
+        nid = node.parent
+
+
+def _first_symbol(model: Program, default: Sym) -> Sym:
+    """The first symbol in the model's rule patterns."""
+    for d in model.defs.values():
+        for r in d.rules:
+            for pat in r.lhs:
+                for it in iter_items(pat):
+                    if type(it) is Sym:
+                        return it
+    # no pattern tests a symbol, so every symbol behaves alike
+    return default
+
+
+def find_witness(
+    graph: ProcessGraph,
+    entry_args: tuple,
+    model: Program,
+    entry: str,
+    to_input,
+    unsafe_symbol: str = "False",
+):
+    """Search a pass's process graph for an input on which the *model*
+    answers with the unsafe symbol.
+
+    Each live passive node whose value holds the symbol, in node order,
+    gives a candidate: the path substitution applied to ``entry_args``, with
+    each e-parameter left made empty and each s-parameter made the model's
+    first pattern symbol. ``to_input`` maps that ground instance to the
+    model's arguments (it may raise ``DecodeError``). Every new input is run
+    through ``interp.eval_call`` with ``WITNESS_FUEL`` steps.
+
+    Returns ``(arguments or None, interpreter runs, runs out of fuel)``.
+    """
+    bad = Sym(unsafe_symbol)
+    sym = _first_symbol(model, bad)
+    tried = set()
+    runs = exhausted = 0
+    for node in graph.nodes.values():  # in id order
+        if node.dead or node.kind != "passive" or bad not in iter_items(node.value):
+            continue
+        args = [subst_seq(a, _path_subst(graph, node.id)) for a in entry_args]
+        fill = {
+            p: () if p.kind == "e" else (sym,)
+            for a in args
+            for p in vars_of(a)
+            if type(p) is Param
+        }
+        try:
+            inp = tuple(to_input([subst_seq(a, fill) for a in args]))
+        except DecodeError:
+            continue
+        if inp in tried or not all(is_ground(a) for a in inp):
+            continue
+        tried.add(inp)
+        runs += 1
+        try:
+            out = eval_call(model, entry, inp, WITNESS_FUEL)
+        except FuelExhausted:
+            exhausted += 1
+            continue
+        if out is not UNDEFINED and bad in iter_items(out):
+            return inp, runs, exhausted
+    return None, runs, exhausted
+
+
 def make_entry_config(prog: Program, fname: str, pgen: Optional[ParamGen] = None):
     """A fully parameterized call of a defined function, as a configuration."""
     pgen = pgen or ParamGen(1)
@@ -755,6 +850,17 @@ def parse_entry_config(prog: Program, text: str):
     return cfg
 
 
+def _input_reader(mode: str, pass_index: int):
+    """Map a ground instance of a pass's entry arguments to the model's
+    arguments: as is in direct mode; in indirect mode, decode the input
+    after ``Call <entry>`` in pass 1 and ``IntRes``'s argument later."""
+    if mode == "direct":
+        return lambda args: args
+    if pass_index == 0:
+        return lambda args: (decode_expr(args[0][0].items[2:]),)
+    return lambda args: (decode_expr(args[0]),)
+
+
 def verify_protocol(
     model: Program,
     mode: str = "direct",
@@ -765,7 +871,12 @@ def verify_protocol(
     instrument: bool = False,
     model_name: str = "Model",
 ):
-    """Run the whole verification pipeline and report the verdict."""
+    """Run the whole verification pipeline and report the verdict.
+
+    A pass whose residual holds the unsafe symbol is searched for a
+    counterexample (``find_witness``); a confirmed one is the report's
+    ``witness`` and ends the run. One trace covers every pass.
+    """
     from .corpus import self_interpreter
 
     limits = limits or Limits()
@@ -801,37 +912,52 @@ def verify_protocol(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    # one trace for the whole run; a Pass event opens every pass after the first
+    trace = Trace(instrument=instrument and mode == "indirect")
     current = prog
     for p_i in range(passes):
         t0 = time.monotonic()
-        trace = Trace(instrument=instrument and mode == "indirect" and p_i == 0)
+        if p_i:
+            trace.instrument = False
+            trace.emit("Pass", **{"pass": p_i + 1})
+        counted = (trace.msg_checked, trace.fold_checked, trace.transitive_steps)
         residual, graph, trace = supercompile(
             current, entry_cfg, limits, trace, entry_name=f"{entry_fn}Res"
         )
         verdict = verify_safety(residual, unsafe_symbol)
+        witness, runs, exhausted = None, 0, 0
+        if not verdict.safe:
+            witness, runs, exhausted = find_witness(
+                graph, entry_cfg.stack[0].args, model, entry,
+                _input_reader(mode, p_i), unsafe_symbol,
+            )
         report["passes"].append(
             {
                 "pass": p_i + 1,
                 "safe": verdict.safe,
                 "witnesses": verdict.witnesses,
+                "witness_candidates": runs,
+                "witness_fuel_exhausted": exhausted,
                 "functions": len(residual.defs),
                 "nodes": graph.stats()["nodes"],
-                "msg_checked": trace.msg_checked,
-                "fold_checked": trace.fold_checked,
-                "transitive_steps": trace.transitive_steps,
+                "msg_checked": trace.msg_checked - counted[0],
+                "fold_checked": trace.fold_checked - counted[1],
+                "transitive_steps": trace.transitive_steps - counted[2],
                 "seconds": round(time.monotonic() - t0, 3),
             }
         )
-        report["violations"].extend(trace.violations)
-        report["warnings"].extend(trace.warnings)
         report["safe"] = verdict.safe
         report["residual"] = residual
-        report["trace"] = trace
-        if trace.first_generalization is not None or "first_generalization" not in report:
-            report["first_generalization"] = trace.first_generalization
-        if verdict.safe or p_i + 1 >= passes:
+        report["witness"] = witness and ", ".join(print_seq(a) for a in witness)
+        # a confirmed counterexample is final: later passes only remove
+        # spurious unsafe occurrences
+        if verdict.safe or witness or p_i + 1 >= passes:
             break
         current = residual
         entry_cfg, _ = make_entry_config(residual, f"{entry_fn}Res")
+    report["violations"] = trace.violations
+    report["warnings"] = trace.warnings
+    report["trace"] = trace
+    report["first_generalization"] = trace.first_generalization
     report["passes_used"] = len(report["passes"])
     return report

@@ -80,10 +80,6 @@ def match_seq(pat: Seq, data: Seq, env: dict) -> Optional[dict]:
     return env if j == len(data) else None
 
 
-def match_ground(pat: Seq, data: Seq, env: Optional[dict] = None) -> Optional[dict]:
-    return match_seq(pat, data, env or {})
-
-
 def _match_rule(rule, args) -> Optional[dict]:
     env: Optional[dict] = {}
     for pat, d in zip(rule.lhs, args):

@@ -126,14 +126,6 @@ NIL: Seq = ()
 BULLET = Bullet()
 
 
-def cat(*seqs: Seq) -> Seq:
-    """Concatenation; the `++` constructor in normal form."""
-    out = []
-    for s in seqs:
-        out.extend(s)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Programs
 
@@ -202,11 +194,6 @@ def iter_items(seq: Seq):
         elif isinstance(it, Call):
             for a in it.args:
                 yield from iter_items(a)
-
-
-def multiplicity(v: Union[Var, Param], seq: Seq) -> int:
-    """Number of occurrences of a variable in an expression."""
-    return sum(1 for it in iter_items(seq) if it == v)
 
 
 def vars_of(seq: Seq) -> list:

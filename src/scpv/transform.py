@@ -45,13 +45,6 @@ class Generalization:
     theta2: dict
 
 
-@dataclass(frozen=True)
-class FoldEdge:
-    from_id: int
-    to_id: int
-    theta: dict
-
-
 def _ground_item(it) -> bool:
     return not it.flags & (HAS_PARAM | HAS_VAR | HAS_BULLET)
 

@@ -35,7 +35,7 @@ from scpv.lang import (
     is_ground,
     iter_items,
 )
-from scpv.interp import eval_seq  # noqa: used by helpers below
+from scpv.interp import eval_seq, match_seq  # noqa: used by helpers below
 
 
 def _sym_kind(it) -> bool:
@@ -533,3 +533,40 @@ def ref_inst_seq(pat: Seq, subj: Seq, th: dict, budget):
                 return None
         return ref_inst_seq(rest, subj[1:], got, budget)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Small helpers with no use in the library
+
+
+def cat(*seqs: Seq) -> Seq:
+    """Concatenation; the `++` constructor in normal form."""
+    out = []
+    for s in seqs:
+        out.extend(s)
+    return tuple(out)
+
+
+def normalize(seq) -> Seq:
+    """Flatten any stray nesting into the tuple segment form (idempotent)."""
+    out = []
+    for it in seq:
+        if isinstance(it, (tuple, list)):
+            out.extend(normalize(tuple(it)))
+        elif isinstance(it, Paren):
+            out.append(Paren(normalize(it.items)))
+        elif isinstance(it, Call):
+            out.append(Call(it.fname, tuple(normalize(a) for a in it.args)))
+        else:
+            out.append(it)
+    return tuple(out)
+
+
+def multiplicity(v, seq: Seq) -> int:
+    """Number of occurrences of a variable in an expression."""
+    return sum(1 for it in iter_items(seq) if it == v)
+
+
+def match_ground(pat: Seq, data: Seq, env=None):
+    """The reference interpreter's matcher, from an empty environment."""
+    return match_seq(pat, data, env or {})

@@ -148,3 +148,36 @@ def test_verify_spec_file(tmp_path, capsys):
     p.write_text(SYNAPSE_SPEC_SRC)
     rc = main(["verify", str(p), "--mode", "direct"])
     assert rc == 0
+
+
+def test_verify_unsafe_two_passes_prints_the_witness(mutant_file, capsys):
+    rc = main(["verify", mutant_file, "--passes", "2"])
+    assert rc == 3
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["safe"] is False and rep["passes_used"] == 1
+    assert rep["witness"] == "(wm rm wm) (I)"
+
+
+# sha256 of the trace files that `verify --mode indirect --trace` wrote on
+# synapse.l before one trace covered the whole run: with `--passes 1`, and
+# with `--passes 2`, which then held pass 2's events alone
+PASS_ONE_TRACE = "1d9fadee30d8c64422c3da7f8087c29f75a11f40c16f349b7ccd76e2b183e050"
+PASS_TWO_TRACE = "8965b47d93e2e81f34d5725c7478f7af9b17af57d379d936e48bfb66e4d9badc"
+
+
+def test_verify_trace_covers_every_pass(model_file, tmp_path, capsys):
+    import hashlib
+
+    def sha256(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    args = ["verify", model_file, "--mode", "indirect", "--trace"]
+    assert main(args + [str(one), "--passes", "1"]) == 3  # pass 1 keeps a spurious False
+    assert main(args + [str(two), "--passes", "2"]) == 0
+    first, whole = one.read_text(), two.read_text()
+    assert sha256(first) == PASS_ONE_TRACE
+    assert whole.startswith(first)
+    marker, rest = whole[len(first):].split("\n", 1)
+    assert json.loads(marker) == {"v": 1, "ev": "Pass", "pass": 2}
+    assert sha256(rest) == PASS_TWO_TRACE

@@ -2,22 +2,20 @@ import random
 
 import pytest
 
-from oracles import eval_ground_expr, random_ground
+from oracles import cat, eval_ground_expr, normalize, random_ground
 from scpv.config import (
     Clock,
     Configuration,
     ParamGen,
     TimedApp,
-    apply_subst,
     check_config,
     compose_subst,
     decompose,
-    normalize,
     subst_seq,
 )
 from scpv.corpus import synapse_model
 from scpv.encoding import encode_expr
-from scpv.lang import BULLET, Call, Paren, Param, Sym, cat, parse_expr
+from scpv.lang import BULLET, Call, Paren, Param, Sym, parse_expr
 
 
 def test_cat_flattens_associatively():
@@ -105,8 +103,8 @@ def test_config_length():
         for i, n in enumerate(["Match", "Matching", "Eval", "EvalCall"])
     )
     c = Configuration(entries, (BULLET,))
-    assert c.length == 4
-    assert Configuration((), ()).length == 0
+    assert len(c.stack) == 4
+    assert len(Configuration((), ()).stack) == 0
 
 
 def test_third_match_rule_grows_stack_by_one():
@@ -121,19 +119,19 @@ def test_third_match_rule_grows_stack_by_one():
     )
     res = drive(cfg, interp, Clock(10), ParamGen(10))
     (branch,) = res.branches
-    assert branch.successor.length == cfg.length + 1
+    assert len(branch.successor.stack) == len(cfg.stack) + 1
 
 
 def test_subst_identity():
     e = parse_expr("'a' e.x")
-    assert apply_subst(e, {}) == e
+    assert subst_seq(e, {}) == e
 
 
 def test_subst_splices():
     p = Param("e", 1)
     e = (Sym("s"), p)
-    assert apply_subst(e, {p: ()}) == (Sym("s"),)
-    assert apply_subst(e, {p: parse_expr("'a' 'b'")}) == (Sym("s"),) + parse_expr(
+    assert subst_seq(e, {p: ()}) == (Sym("s"),)
+    assert subst_seq(e, {p: parse_expr("'a' 'b'")}) == (Sym("s"),) + parse_expr(
         "'a' 'b'"
     )
 
@@ -165,7 +163,7 @@ def test_subst_composition_random():
         e = rand_pexpr()
         t1 = {rnd.choice(params): rand_pexpr()}
         t2 = {rnd.choice(params): rand_pexpr()}
-        assert apply_subst(apply_subst(e, t1), t2) == apply_subst(
+        assert subst_seq(subst_seq(e, t1), t2) == subst_seq(
             e, compose_subst(t1, t2)
         )
 

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from oracles import config_to_expr, eval_ground_expr, is_transitive, narrow_match, random_ground
+from oracles import (
+    config_to_expr,
+    eval_ground_expr,
+    is_transitive,
+    match_ground,
+    narrow_match,
+    random_ground,
+)
 from scpv.config import Clock, Configuration, ParamGen, TimedApp, subst_seq
 from scpv.corpus import self_interpreter, synapse_model
 from scpv.driving import drive
@@ -146,8 +153,6 @@ def test_narrowing_covers_ground_instances(interp):
     # soundness and completeness of the ordered case analysis, by sampling:
     # every ground instance follows the first covering case to the same
     # outcome as direct ground matching
-    from scpv.interp import match_ground
-
     rnd = random.Random(43)
     pgen = ParamGen(1000)
     pats = [

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from scpv.engine import (
     verify_safety,
 )
 from scpv.interp import UNDEFINED, eval_call
-from scpv.lang import BULLET, Sym, parse_expr
+from scpv.lang import BULLET, Sym, iter_items, parse_expr
 
 
 @pytest.fixture(scope="module")
@@ -197,11 +198,11 @@ def test_fold_edges_expose_equations(syn):
     entry, _ = make_entry_config(syn, "Main")
     eng = Engine(syn, Limits(), Trace())
     eng.run(entry)
-    edges = eng.graph.fold_edges()
-    assert edges
-    for e in edges:
-        applied = subst_config(eng.graph.node(e.to_id).config, e.theta)
-        current = eng.graph.node(e.from_id).config
+    folds = [n for n in eng.graph.nodes.values() if not n.dead and n.kind == "fold"]
+    assert folds
+    for n in folds:
+        applied = subst_config(eng.graph.node(n.fold_target).config, n.fold_theta)
+        current = n.config
         assert [(x.fname, x.args) for x in applied.stack] == [
             (x.fname, x.args) for x in current.stack
         ]
@@ -299,3 +300,128 @@ def test_golden_append_forced_splits(syn):
         for s in splits
     )
     assert any("Eval(" in s["context"] for s in splits)  # suspended call stack
+
+
+# ---------------------------------------------------------------------------
+# Confirmed counterexamples
+
+# the last of `python3 perfbench/specgen.py --seed 3 --count 40 --names-seed 1`
+# (spec 39 of the direct-sweep workload at seed 1); every False leaf of its
+# graph lies below a generalized node, so its witness comes through the
+# renaming of a generalization's entry substitution
+GEN39_SPEC = """\
+protocol gen3x39
+counter owned init param
+counter dirty init zero
+counter pending init zero
+counter forward init zero
+event flush
+  guard dirty >= 1
+  alt
+  guard forward >= 1
+  update owned := owned + 1
+  update dirty := dirty
+event inv
+  guard owned >= 1
+  update owned := owned + dirty + forward
+  update dirty := 0
+  update pending := pending + 1
+  update forward := 0
+event put
+  guard owned >= 1
+  update owned := owned + pending
+  update dirty := dirty + 1
+  update pending := 0
+unsafe pending >= 2
+unsafe dirty >= 2
+unsafe forward >= 2
+"""
+
+
+def test_unsafe_two_passes_stop_at_the_witness():
+    mut = synapse_unsafe_mutant()
+    rep = verify_protocol(mut, mode="direct", passes=2)
+    assert rep["safe"] is False
+    assert rep["passes_used"] == 1
+    assert rep["passes"][0]["witness_candidates"] >= 1
+    assert rep["witness"] == "(wm rm wm) (I)"
+    assert eval_call(mut, "Main", [parse_expr(rep["witness"])]) == (Sym("False"),)
+
+
+@pytest.mark.parametrize("mode", ["direct", "indirect"])
+@pytest.mark.parametrize("name", ["synapse.l", "msi.spec", "mesi.spec", "synapse.spec"])
+def test_safe_models_have_no_witness(name, mode):
+    from scpv.cli import _load_program
+
+    path = os.path.join(os.path.dirname(__file__), "..", "protocols", name)
+    rep = verify_protocol(_load_program(path), mode=mode, passes=1)
+    assert rep["witness"] is None
+    # indirect pass 1 keeps a spurious False; its candidates run and fail
+    assert rep["safe"] is (mode == "direct")
+    assert rep["passes"][0]["witness_fuel_exhausted"] == 0
+
+
+def test_witness_through_a_generalization():
+    from scpv.corpus import generate_model, parse_protocol_spec
+    from scpv.engine import find_witness
+
+    model = generate_model(parse_protocol_spec(GEN39_SPEC))
+    entry, _ = make_entry_config(model, "Main")
+    _, graph, _ = supercompile(model, entry, Limits(max_nodes=1_000))
+    leaves = [
+        n for n in graph.nodes.values()
+        if not n.dead and n.kind == "passive" and Sym("False") in iter_items(n.value)
+    ]
+    assert leaves
+
+    def generalized_above(n):
+        while n.entry_subst is None:
+            if n.parent is None:
+                return False
+            n = graph.node(n.parent)
+        return True
+
+    assert all(generalized_above(n) for n in leaves)
+    found, runs, exhausted = find_witness(
+        graph, entry.stack[0].args, model, "Main", lambda args: args
+    )
+    assert found == (parse_expr("(inv put put) (I)"),)
+    assert runs >= 1 and exhausted == 0
+    assert eval_call(model, "Main", found) == (Sym("False"),)
+    rep = verify_protocol(model, mode="direct", passes=1, limits=Limits(max_nodes=1_000))
+    assert rep["witness"] == "(inv put put) (I)"
+
+
+def test_stopped_report_keeps_the_benchmark_keys():
+    # perfbench/run.py reads these keys of every report; a report that stops
+    # on a witness must still carry them, or its calls count as failed
+    from scpv.lang import Program
+
+    rep = verify_protocol(synapse_unsafe_mutant(), mode="direct", passes=2)
+    assert rep["witness"] is not None
+    assert rep["safe"] is False
+    assert rep["passes_used"] == len(rep["passes"]) == 1
+    for p in rep["passes"]:
+        assert isinstance(p["nodes"], int) and isinstance(p["functions"], int)
+    assert isinstance(rep["residual"], Program)
+    assert "MainRes" in rep["residual"].defs
+
+
+def test_budget_exit_in_a_later_pass_keeps_earlier_events(syn, monkeypatch):
+    import scpv.engine as engine
+
+    one = verify_protocol(syn, mode="indirect", passes=1)["trace"].events
+    limits = Limits()
+    scan = engine.verify_safety
+
+    def scan_then_shrink(residual, unsafe_symbol):
+        limits.max_nodes = 5  # the next pass exceeds its budget at once
+        return scan(residual, unsafe_symbol)
+
+    monkeypatch.setattr(engine, "verify_safety", scan_then_shrink)
+    with pytest.raises(BudgetExceeded) as e:
+        verify_protocol(syn, mode="indirect", passes=2, limits=limits)
+    events = e.value.trace.events
+    assert events[: len(one)] == one
+    assert events[len(one)] == {"v": 1, "ev": "Pass", "pass": 2}
+    assert len(events) > len(one) + 1

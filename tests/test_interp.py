@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from oracles import match_ground
 from scpv.corpus import synapse_model
-from scpv.interp import FuelExhausted, UNDEFINED, eval_call, match_ground
+from scpv.interp import FuelExhausted, UNDEFINED, eval_call
 from scpv.lang import Sym, Var, parse_expr, parse_program
 
 

@@ -1,12 +1,12 @@
 import pytest
 
+from oracles import multiplicity
 from scpv.corpus import synapse_model, SYNAPSE_SRC, INT_SRC
 from scpv.lang import (
     LangError,
     Paren,
     Sym,
     Var,
-    multiplicity,
     parse_expr,
     parse_program,
     print_program,

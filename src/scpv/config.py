@@ -14,13 +14,13 @@ from .lang import (
     HAS_BULLET,
     HAS_CALL,
     HAS_PARAM,
-    Bullet,
     Call,
     Param,
     Paren,
     Seq,
     bullet_count,
     contains_call,
+    map_items,
     print_seq,
 )
 
@@ -90,23 +90,16 @@ def subst_seq(seq: Seq, theta: dict) -> Seq:
     """Apply a parameter substitution; e-parameters splice their sequences."""
     if not theta:
         return seq
-    out = []
-    for it in seq:
-        if not it.flags & HAS_PARAM:
-            out.append(it)
-        elif isinstance(it, Param):
-            rep = theta.get(it)
-            if rep is None:
-                out.append(it)
-            else:
-                if it.kind == "s" and len(rep) != 1:
-                    raise ValueError(f"s-parameter {it!r} bound to a sequence")
-                out.extend(rep)
-        elif isinstance(it, Paren):
-            out.append(Paren(subst_seq(it.items, theta)))
-        else:
-            out.append(Call(it.fname, tuple(subst_seq(a, theta) for a in it.args)))
-    return tuple(out)
+
+    def leaf(p):
+        rep = theta.get(p)
+        if rep is None:
+            return (p,)
+        if p.kind == "s" and len(rep) != 1:
+            raise ValueError(f"s-parameter {p!r} bound to a sequence")
+        return rep
+
+    return map_items(seq, HAS_PARAM, leaf)
 
 
 def subst_app(app: TimedApp, theta: dict) -> TimedApp:
@@ -133,17 +126,7 @@ def compose_subst(first: dict, second: dict) -> dict:
 
 
 def replace_bullet(seq: Seq, value: Seq) -> Seq:
-    out = []
-    for it in seq:
-        if not it.flags & HAS_BULLET:
-            out.append(it)
-        elif isinstance(it, Bullet):
-            out.extend(value)
-        elif isinstance(it, Paren):
-            out.append(Paren(replace_bullet(it.items, value)))
-        else:
-            out.append(Call(it.fname, tuple(replace_bullet(a, value) for a in it.args)))
-    return tuple(out)
+    return map_items(seq, HAS_BULLET, lambda _: value)
 
 
 def plug_app(app: TimedApp, value: Seq) -> TimedApp:

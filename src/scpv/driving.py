@@ -38,6 +38,7 @@ from .lang import (
     Var,
     contains_call,
     is_ground,
+    map_items,
 )
 
 
@@ -67,17 +68,8 @@ class StepResult:
 
 
 def _subst_vars(seq: Seq, env: dict) -> Seq:
-    out = []
-    for it in seq:
-        if not it.flags & HAS_VAR:
-            out.append(it)
-        elif isinstance(it, Var):
-            out.extend(env[it])
-        elif isinstance(it, Paren):
-            out.append(Paren(_subst_vars(it.items, env)))
-        else:
-            out.append(Call(it.fname, tuple(_subst_vars(a, env) for a in it.args)))
-    return tuple(out)
+    """Instantiate a rule's variables; an unbound one raises KeyError."""
+    return map_items(seq, HAS_VAR, env.__getitem__)
 
 
 FAIL = ("fail",)

@@ -17,7 +17,7 @@ from .config import (
     check_config,
     compose_subst,
     decompose,
-    replace_bullet,
+    plug_app,
     subst_config,
     subst_seq,
 )
@@ -26,20 +26,22 @@ from .encoding import DecodeError, decode_expr
 from .interp import UNDEFINED, FuelExhausted, eval_call
 from .lang import (
     BULLET,
-    Call,
+    HAS_VAR,
+    LangError,
     Param,
     Paren,
     Program,
     Seq,
     Sym,
-    Var as _Var,
+    call_errors,
     is_ground,
     iter_items,
+    map_items,
     parse_expr,
     print_seq,
     vars_of,
 )
-from .relations import whistle
+from .relations import strict_embed, whistle
 from .transform import Incompatible, fold_instance, msg, split_task
 
 
@@ -110,7 +112,7 @@ class ProcessGraph:
             if not n.dead:
                 yield n
 
-    def kill_subtree(self, nid: int) -> None:
+    def kill_subtree(self, nid: int) -> list:
         """Remove the sub-tree below nid; returns ids of removed nodes."""
         killed = []
         stack = [cid for _, cid in list(self.nodes[nid].children) + list(self.nodes[nid].parts)]
@@ -213,6 +215,13 @@ def _match_headed_nil(c: Configuration) -> bool:
     )
 
 
+def _equal_but_labels(a: Configuration, b: Configuration) -> bool:
+    """The same configuration once time labels are ignored."""
+    return a.tail == b.tail and [(e.fname, e.args) for e in a.stack] == [
+        (e.fname, e.args) for e in b.stack
+    ]
+
+
 def _check_action(trace: Trace, what: str, c1: Configuration, c2: Configuration):
     """Instrumented invariants for fold/generalize pairs on interpreter runs."""
     if not trace.instrument:
@@ -231,9 +240,6 @@ def _check_action(trace: Trace, what: str, c1: Configuration, c2: Configuration)
             (e.fname, e.time) for e in c2.stack
         }
         if shared:
-            from .lang import is_ground
-            from .relations import strict_embed
-
             p1, p2 = c1.stack[0].args[0], c2.stack[0].args[0]
             if is_ground(p1) and is_ground(p2) and (
                 strict_embed(p1, p2) or strict_embed(p2, p1)
@@ -524,10 +530,7 @@ class Engine:
 
     def _verify_fold(self, tid: int, theta: dict, current: Configuration) -> None:
         target = self.graph.node(tid).config
-        applied = subst_config(target, theta)
-        stripped_a = [(e.fname, e.args) for e in applied.stack]
-        stripped_c = [(e.fname, e.args) for e in current.stack]
-        if stripped_a != stripped_c or applied.tail != current.tail:
+        if not _equal_but_labels(subst_config(target, theta), current):
             raise PropertyViolation(
                 f"fold substitution fails the instance equation for node {tid}"
             )
@@ -572,16 +575,10 @@ class Engine:
         m = len(node.config.stack)
         shared = len(anc.config.stack) - l + 1
         cur_prefix = Configuration(node.config.stack[: l - 1], (BULLET,))
-        cur_first = node.config.stack[m - shared]
-        cur_filled = TimedApp(
-            cur_first.fname,
-            tuple(
-                replace_bullet(a, (connector,)) for a in cur_first.args
-            ),
-            cur_first.time,
-        )
         cur_context = Configuration(
-            (cur_filled,) + node.config.stack[m - shared + 1 :], node.config.tail
+            (plug_app(node.config.stack[m - shared], (connector,)),)
+            + node.config.stack[m - shared + 1 :],
+            node.config.tail,
         )
         prefix_entry = None
         context_entry = None
@@ -650,11 +647,7 @@ class Engine:
 
     def _verify_msg(self, g, c1: Configuration, c2: Configuration) -> None:
         for theta, target, tag in ((g.theta1, c1, 1), (g.theta2, c2, 2)):
-            applied = subst_config(g.gen, theta)
-            same = [(e.fname, e.args) for e in applied.stack] == [
-                (e.fname, e.args) for e in target.stack
-            ] and applied.tail == target.tail
-            if not same:
+            if not _equal_but_labels(subst_config(g.gen, theta), target):
                 raise PropertyViolation(f"msg equation gen*theta{tag} failed")
         self.trace.msg_checked += 1
 
@@ -812,8 +805,14 @@ def find_witness(
     return None, runs, exhausted
 
 
+def _check_defined(prog: Program, fname: str) -> None:
+    if fname not in prog.defs:
+        raise LangError(f"no function {fname}")
+
+
 def make_entry_config(prog: Program, fname: str, pgen: Optional[ParamGen] = None):
     """A fully parameterized call of a defined function, as a configuration."""
+    _check_defined(prog, fname)
     pgen = pgen or ParamGen(1)
     params = [pgen.fresh("e") for _ in range(prog.arity(fname))]
     cfg = Configuration(
@@ -823,30 +822,25 @@ def make_entry_config(prog: Program, fname: str, pgen: Optional[ParamGen] = None
 
 
 def parse_entry_config(prog: Program, text: str):
-    """Parse a CLI entry expression; free variables become parameters."""
+    """Parse a CLI entry expression; free variables become parameters,
+    numbered in order of first occurrence. Every call must name a function
+    of prog with its arity."""
     seq = parse_expr(text)
+    errors = call_errors(seq, prog, "the entry")
+    if errors:
+        raise LangError("; ".join(errors))
     pgen = ParamGen(1)
     mapping = {}
 
-    def conv(s):
-        out = []
-        for it in s:
-            if isinstance(it, Paren):
-                out.append(Paren(conv(it.items)))
-            elif isinstance(it, Call):
-                out.append(Call(it.fname, tuple(conv(a) for a in it.args)))
-            elif isinstance(it, _Var):
-                if it not in mapping:
-                    mapping[it] = pgen.fresh(it.kind)
-                out.append(mapping[it])
-            else:
-                out.append(it)
-        return tuple(out)
+    def fresh(v):
+        if v not in mapping:
+            mapping[v] = pgen.fresh(v.kind)
+        return (mapping[v],)
 
-    seq = conv(seq)
+    seq = map_items(seq, HAS_VAR, fresh)
     cfg, deferred = decompose(seq, Clock(), ParamGen(50))
     if deferred:
-        raise ValueError("entry expressions must decompose to a single task")
+        raise LangError("entry expressions must decompose to a single task")
     return cfg
 
 
@@ -879,6 +873,7 @@ def verify_protocol(
     """
     from .corpus import self_interpreter
 
+    _check_defined(model, entry)
     limits = limits or Limits()
     report = {
         "mode": mode,

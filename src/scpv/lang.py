@@ -1,5 +1,7 @@
 """Core syntax for the object language: flat expression sequences, programs,
-parsing, printing and validation.
+parsing, printing and validation, plus the two tree operations the rest of
+the package builds on: the item rebuilder ``map_items`` and the instance
+matcher ``inst_seq``.
 
 Expressions are kept in concatenation-normal form throughout: an expression
 is a tuple of items, `[]` is the empty tuple, `:` and `++` both concatenate.
@@ -19,7 +21,7 @@ leave ``flags`` stale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 
 class LangError(Exception):
@@ -221,6 +223,30 @@ def is_ground(seq: Seq) -> bool:
     return not seq_flags(seq)
 
 
+def is_sym_kind(it) -> bool:
+    """A symbol, or an s-variable or s-parameter: an item standing for one
+    symbol."""
+    t = type(it)
+    return t is Sym or ((t is Var or t is Param) and it.kind == "s")
+
+
+def map_items(seq: Seq, mask: int, leaf) -> Seq:
+    """seq rebuilt with every leaf item whose flags meet ``mask`` replaced by
+    the sequence ``leaf(item)``; parens and calls whose flags miss ``mask``
+    are kept without being entered."""
+    out = []
+    for it in seq:
+        if not it.flags & mask:
+            out.append(it)
+        elif type(it) is Paren:
+            out.append(Paren(map_items(it.items, mask, leaf)))
+        elif type(it) is Call:
+            out.append(Call(it.fname, tuple(map_items(a, mask, leaf) for a in it.args)))
+        else:
+            out.extend(leaf(it))
+    return tuple(out)
+
+
 def bullet_count(seq: Seq) -> int:
     n = 0
     for it in seq:
@@ -232,6 +258,94 @@ def bullet_count(seq: Seq) -> int:
             else:
                 n += sum(bullet_count(a) for a in it.args)
     return n
+
+
+# ---------------------------------------------------------------------------
+# Instance matching
+
+MATCH_BUDGET = 200_000
+
+
+class Budget:
+    """Steps left to a search; ``spend`` turns false when they run out."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def spend(self):
+        self.n -= 1
+        return self.n > 0
+
+
+def inst_seq(pat: Seq, subj: Seq, th: dict, budget: Budget) -> Optional[dict]:
+    """A substitution extending ``th`` with pat instantiated equal to subj,
+    or None; also None once ``budget`` runs out, one step per pattern item
+    and one at each sequence end.
+
+    Parameters and variables are both holes. That is exact for both callers:
+    a fold pattern is a configuration, which holds parameters and never a
+    variable, and a residual rule pattern holds variables and never a
+    parameter. An s-hole takes one symbol-kind item (``is_sym_kind``); an
+    e-hole takes the shortest prefix that lets the rest match, and the first
+    solution inside a paren or a call is kept without backtracking into it.
+    Bindings go into ``th`` in place, so callers pass a dict they own; each
+    e-hole alternative starts from a copy.
+    """
+    i = j = 0
+    n, m = len(pat), len(subj)
+    while budget.spend():
+        if i == n:
+            return th if j == m else None
+        p = pat[i]
+        tp = type(p)
+        if not p.flags & (HAS_PARAM | HAS_VAR):
+            # a pattern item without holes holds no choice point: equality decides it
+            if j == m or p != subj[j]:
+                return None
+        elif (tp is Param or tp is Var) and p.kind == "e":
+            v = th.get(p)
+            if v is None:
+                rest = pat[i + 1 :]
+                for k in range(j, m + 1):
+                    th2 = dict(th)
+                    th2[p] = subj[j:k]
+                    got = inst_seq(rest, subj[k:], th2, budget)
+                    if got is not None:
+                        return got
+                return None
+            if subj[j : j + len(v)] != v:
+                return None
+            i += 1
+            j += len(v)
+            continue
+        elif j == m:
+            return None
+        else:
+            d = subj[j]
+            if tp is Paren:
+                if type(d) is not Paren:
+                    return None
+                th = inst_seq(p.items, d.items, th, budget)
+                if th is None:
+                    return None
+            elif tp is Call:
+                if not (type(d) is Call and d.fname == p.fname and len(d.args) == len(p.args)):
+                    return None
+                for pa, da in zip(p.args, d.args):
+                    th = inst_seq(pa, da, th, budget)
+                    if th is None:
+                        return None
+            else:  # an s-hole
+                if not is_sym_kind(d):
+                    return None
+                v = th.get(p)
+                if v is None:
+                    th[p] = (d,)
+                elif v != (d,):
+                    return None
+        i += 1
+        j += 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +551,19 @@ def _check_pattern(seq: Seq, fname: str, out: list):
             _check_pattern(it.items, fname, out)
 
 
+def call_errors(seq: Seq, prog: Program, where: str) -> list:
+    """An ``error:`` diagnostic for each call in seq to a function that prog
+    does not define, or with the wrong number of arguments."""
+    out = []
+    for it in iter_items(seq):
+        if isinstance(it, Call):
+            if it.fname not in prog.defs:
+                out.append(f"error: call to undefined function {it.fname} in {where}")
+            elif len(it.args) != prog.defs[it.fname].arity:
+                out.append(f"error: call to {it.fname} with wrong arity in {where}")
+    return out
+
+
 def validate_program(prog: Program) -> list:
     """Run the arity, rhs-variable and pattern checks; return diagnostics.
 
@@ -455,16 +582,7 @@ def validate_program(prog: Program) -> list:
             for v in vars_of(r.rhs):
                 if isinstance(v, Var) and v not in lhs_vars:
                     out.append(f"error: free variable {v!r} in a rule of {d.name}")
-            for it in iter_items(r.rhs):
-                if isinstance(it, Call):
-                    if it.fname not in prog.defs:
-                        out.append(
-                            f"error: call to undefined function {it.fname} in {d.name}"
-                        )
-                    elif len(it.args) != prog.defs[it.fname].arity:
-                        out.append(
-                            f"error: call to {it.fname} with wrong arity in {d.name}"
-                        )
+            out.extend(call_errors(r.rhs, prog, d.name))
             for pat in r.lhs:
                 for it in iter_items(pat):
                     if isinstance(it, Sym) and not it.char and it.name in RESERVED_MARKERS:

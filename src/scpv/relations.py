@@ -19,11 +19,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .config import Configuration, TimedApp
-from .lang import Bullet, Call, Paren, Param, Seq, Sym, Var
-
-
-def _sym_kind(it) -> bool:
-    return isinstance(it, Sym) or (isinstance(it, (Var, Param)) and it.kind == "s")
+from .lang import Bullet, Call, Paren, Param, Seq, Sym, Var, is_sym_kind
 
 
 def _restricted(x, y) -> bool:
@@ -33,7 +29,7 @@ def _restricted(x, y) -> bool:
         and not x.items
         and isinstance(y, Paren)
         and len(y.items) == 1
-        and _sym_kind(y.items[0])
+        and is_sym_kind(y.items[0])
     )
 
 

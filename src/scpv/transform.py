@@ -11,7 +11,7 @@ from .config import (
     ParamGen,
     TimedApp,
     compose_subst,
-    replace_bullet,
+    plug_app,
     subst_seq,
 )
 from .lang import (
@@ -19,6 +19,8 @@ from .lang import (
     HAS_BULLET,
     HAS_PARAM,
     HAS_VAR,
+    MATCH_BUDGET,
+    Budget,
     Bullet,
     Call,
     FuncDef,
@@ -30,7 +32,11 @@ from .lang import (
     Sym,
     Var,
     bullet_count,
+    inst_seq,
+    is_sym_kind,
     iter_items,
+    map_items,
+    vars_of,
 )
 
 
@@ -49,16 +55,12 @@ def _ground_item(it) -> bool:
     return not it.flags & (HAS_PARAM | HAS_VAR | HAS_BULLET)
 
 
-def _sym_kind(it) -> bool:
-    return isinstance(it, Sym) or (isinstance(it, Param) and it.kind == "s")
-
-
 def _alignable(x, y) -> bool:
     if x == y and _ground_item(x):
         return True
     if isinstance(x, Bullet) and isinstance(y, Bullet):
         return True
-    if _sym_kind(x) and _sym_kind(y):
+    if is_sym_kind(x) and is_sym_kind(y):
         return True
     if isinstance(x, Param) and isinstance(y, Param) and x.kind == y.kind:
         return True
@@ -146,88 +148,21 @@ def msg(c1: Configuration, c2: Configuration, pgen: ParamGen) -> Generalization:
 # ---------------------------------------------------------------------------
 # Fold-instance matching
 
-_MATCH_BUDGET = 200_000
-
-
-class _Budget:
-    def __init__(self, n):
-        self.n = n
-
-    def spend(self):
-        self.n -= 1
-        return self.n > 0
-
-
-def _inst_seq(pat: Seq, subj: Seq, th: dict, budget: _Budget) -> Optional[dict]:
-    if not budget.spend():
-        return None
-    if not pat:
-        return th if not subj else None
-    p, rest = pat[0], pat[1:]
-    if not p.flags & (HAS_PARAM | HAS_VAR):
-        # a pattern item without parameters holds no choice point: equality decides it
-        if not subj or p != subj[0]:
-            return None
-        return _inst_seq(rest, subj[1:], th, budget)
-    if isinstance(p, Param) and p.kind == "e":
-        if p in th:
-            v = th[p]
-            if subj[: len(v)] == v:
-                return _inst_seq(rest, subj[len(v) :], th, budget)
-            return None
-        for k in range(len(subj) + 1):
-            th2 = dict(th)
-            th2[p] = subj[:k]
-            got = _inst_seq(rest, subj[k:], th2, budget)
-            if got is not None:
-                return got
-        return None
-    if not subj:
-        return None
-    d = subj[0]
-    if isinstance(p, Param):  # s-parameter
-        if not _sym_kind(d):
-            return None
-        if p in th:
-            if th[p] != (d,):
-                return None
-            return _inst_seq(rest, subj[1:], th, budget)
-        th2 = dict(th)
-        th2[p] = (d,)
-        return _inst_seq(rest, subj[1:], th2, budget)
-    if isinstance(p, Paren):
-        if not isinstance(d, Paren):
-            return None
-        got = _inst_seq(p.items, d.items, th, budget)
-        if got is None:
-            return None
-        return _inst_seq(rest, subj[1:], got, budget)
-    if isinstance(p, Call):
-        if not (isinstance(d, Call) and d.fname == p.fname and len(d.args) == len(p.args)):
-            return None
-        got = th
-        for pa, da in zip(p.args, d.args):
-            got = _inst_seq(pa, da, got, budget)
-            if got is None:
-                return None
-        return _inst_seq(rest, subj[1:], got, budget)
-    return None
-
 
 def fold_instance(ancestor: Configuration, current: Configuration) -> Optional[dict]:
     """A substitution with ancestor applied equal to current, labels ignored."""
     if len(ancestor.stack) != len(current.stack):
         return None
-    budget = _Budget(_MATCH_BUDGET)
+    budget = Budget(MATCH_BUDGET)
     th: Optional[dict] = {}
     for f, g in zip(ancestor.stack, current.stack):
         if f.fname != g.fname or len(f.args) != len(g.args):
             return None
         for pa, da in zip(f.args, g.args):
-            th = _inst_seq(pa, da, th, budget)
+            th = inst_seq(pa, da, th, budget)
             if th is None:
                 return None
-    return _inst_seq(ancestor.tail, current.tail, th, budget)
+    return inst_seq(ancestor.tail, current.tail, th, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +181,7 @@ def split_task(c: Configuration, l: int, pgen: ParamGen):
         raise ValueError(f"split index {l} out of range for height {k}")
     prefix = Configuration(c.stack[: l - 1], (BULLET,))
     connector = pgen.fresh("e")
-    first = c.stack[l - 1]
-    filled = TimedApp(
-        first.fname,
-        tuple(replace_bullet(a, (connector,)) for a in first.args),
-        first.time,
-    )
-    context = Configuration((filled,) + c.stack[l:], c.tail)
+    context = Configuration((plug_app(c.stack[l - 1], (connector,)),) + c.stack[l:], c.tail)
     return prefix, context, connector
 
 
@@ -264,34 +193,15 @@ class IncompleteGraph(Exception):
     pass
 
 
+def _render_leaf(it) -> Seq:
+    if isinstance(it, Bullet):
+        raise IncompleteGraph("bullet escaped into residual code")
+    return (Var(it.kind, str(it.num)),)
+
+
 def _render_seq(seq: Seq) -> Seq:
     """Parameters become ordinary variables in residual code."""
-    out = []
-    for it in seq:
-        if not it.flags & (HAS_PARAM | HAS_BULLET):  # bullets must reach the raise
-            out.append(it)
-        elif isinstance(it, Param):
-            out.append(Var(it.kind, str(it.num)))
-        elif isinstance(it, Paren):
-            out.append(Paren(_render_seq(it.items)))
-        elif isinstance(it, Call):
-            out.append(Call(it.fname, tuple(_render_seq(a) for a in it.args)))
-        else:
-            raise IncompleteGraph("bullet escaped into residual code")
-    return tuple(out)
-
-
-def _config_params(c: Configuration) -> list:
-    seen = []
-    for e in c.stack:
-        for a in e.args:
-            for it in iter_items(a):
-                if isinstance(it, Param) and it not in seen:
-                    seen.append(it)
-    for it in iter_items(c.tail):
-        if isinstance(it, Param) and it not in seen:
-            seen.append(it)
-    return seen
+    return map_items(seq, HAS_PARAM | HAS_BULLET, _render_leaf)
 
 
 UNDEF_NAME = "Undef"
@@ -320,7 +230,10 @@ class _Emitter:
 
     def formals_of(self, nid: int) -> list:
         if nid not in self.fn_formals:
-            self.fn_formals[nid] = _config_params(self.g.node(nid).config)
+            c = self.g.node(nid).config
+            self.fn_formals[nid] = vars_of(
+                tuple(it for e in c.stack for a in e.args for it in a) + c.tail
+            )
         return self.fn_formals[nid]
 
     def demand(self, nid: int) -> str:
@@ -458,53 +371,13 @@ def build_residual(graph, entry_id: int, entry_name: str) -> Program:
 # Residual cleanup: the simplified global analysis
 
 
-def _pattern_instance(general: Seq, specific: Seq, th: dict) -> Optional[dict]:
-    """Match one pattern sequence against another, variables as holes."""
-    if not general:
-        return th if not specific else None
-    p, rest = general[0], general[1:]
-    if isinstance(p, Var) and p.kind == "e":
-        if p in th:
-            v = th[p]
-            return (
-                _pattern_instance(rest, specific[len(v):], th)
-                if specific[: len(v)] == v
-                else None
-            )
-        for k in range(len(specific) + 1):
-            th2 = dict(th)
-            th2[p] = specific[:k]
-            got = _pattern_instance(rest, specific[k:], th2)
-            if got is not None:
-                return got
-        return None
-    if not specific:
-        return None
-    d = specific[0]
-    if isinstance(p, Var):  # s-variable hole
-        if not (isinstance(d, Sym) or (isinstance(d, Var) and d.kind == "s")):
-            return None
-        if p in th:
-            return _pattern_instance(rest, specific[1:], th) if th[p] == (d,) else None
-        th2 = dict(th)
-        th2[p] = (d,)
-        return _pattern_instance(rest, specific[1:], th2)
-    if isinstance(p, Sym):
-        return _pattern_instance(rest, specific[1:], th) if p == d else None
-    if isinstance(p, Paren):
-        if not isinstance(d, Paren):
-            return None
-        got = _pattern_instance(p.items, d.items, th)
-        if got is None:
-            return None
-        return _pattern_instance(rest, specific[1:], got)
-    return None
-
-
 def _rule_subsumed(early: Rule, late: Rule) -> bool:
+    """True when late's patterns are an instance of early's, so that early
+    claims every input late would match."""
+    budget = Budget(MATCH_BUDGET)
     th: Optional[dict] = {}
     for g, s in zip(early.lhs, late.lhs):
-        th = _pattern_instance(g, s, th)
+        th = inst_seq(g, s, th, budget)
         if th is None:
             return False
     return True
@@ -520,21 +393,8 @@ def _drop_dead_rules(d: FuncDef) -> FuncDef:
 
 
 def _subst_vars_seq(seq: Seq, env: dict) -> Seq:
-    out = []
-    for it in seq:
-        if not it.flags & HAS_VAR:
-            out.append(it)
-        elif isinstance(it, Var):
-            out.extend(env.get(it, (it,)))
-        elif isinstance(it, Paren):
-            out.append(Paren(_subst_vars_seq(it.items, env)))
-        else:
-            out.append(Call(it.fname, tuple(_subst_vars_seq(a, env) for a in it.args)))
-    return tuple(out)
-
-
-def _sym_item(it) -> bool:
-    return isinstance(it, Sym) or (isinstance(it, Var) and it.kind == "s")
+    """Instantiate variables; an unbound one stays as it is."""
+    return map_items(seq, HAS_VAR, lambda v: env.get(v, (v,)))
 
 
 def _inline_calls(seq: Seq, inlinable: dict, budget: list) -> Seq:
@@ -556,7 +416,7 @@ def _inline_calls(seq: Seq, inlinable: dict, budget: list) -> Seq:
                     v = pat[0]
                     if v.kind == "e":
                         env[v] = arg
-                    elif len(arg) == 1 and _sym_item(arg[0]):
+                    elif len(arg) == 1 and is_sym_kind(arg[0]):
                         env[v] = arg
                     else:
                         ok = False

@@ -10,7 +10,9 @@ whose structure flags show that nothing below them can change.
 The reference rule matcher at the end copies its env at each binding, and
 the reference fold matcher enters every pattern item; the packaged ones bind
 in place and decide parameter-free pattern items by equality, and are
-checked against them.
+checked against them. The reference rule-subsumption matcher is the
+recursive variable matcher that residual cleanup used before folding and
+subsumption shared ``lang.inst_seq``.
 """
 
 from __future__ import annotations
@@ -326,6 +328,25 @@ def naive_subst_vars(seq: Seq, env: dict) -> Seq:
     return tuple(out)
 
 
+def naive_render_seq(seq: Seq) -> Seq:
+    """Parameters as residual variables; a bullet raises ``IncompleteGraph``."""
+    from scpv.transform import IncompleteGraph
+
+    out = []
+    for it in seq:
+        if isinstance(it, Param):
+            out.append(Var(it.kind, str(it.num)))
+        elif isinstance(it, Bullet):
+            raise IncompleteGraph("bullet escaped into residual code")
+        elif isinstance(it, Paren):
+            out.append(Paren(naive_render_seq(it.items)))
+        elif isinstance(it, Call):
+            out.append(Call(it.fname, tuple(naive_render_seq(a) for a in it.args)))
+        else:
+            out.append(it)
+    return tuple(out)
+
+
 def naive_split_leftmost_call(seq: Seq):
     for i, it in enumerate(seq):
         if isinstance(it, Call):
@@ -480,7 +501,7 @@ def is_transitive(config: Configuration, prog: Program) -> bool:
 
 def ref_inst_seq(pat: Seq, subj: Seq, th: dict, budget):
     """Fold matching that enters every pattern item; ``budget`` is a
-    ``transform._Budget``."""
+    ``lang.Budget``."""
     if not budget.spend():
         return None
     if not pat:
@@ -532,6 +553,49 @@ def ref_inst_seq(pat: Seq, subj: Seq, th: dict, budget):
             if got is None:
                 return None
         return ref_inst_seq(rest, subj[1:], got, budget)
+    return None
+
+
+def ref_pattern_instance(general: Seq, specific: Seq, th: dict):
+    """Match one residual pattern against another, variables as holes."""
+    if not general:
+        return th if not specific else None
+    p, rest = general[0], general[1:]
+    if isinstance(p, Var) and p.kind == "e":
+        if p in th:
+            v = th[p]
+            return (
+                ref_pattern_instance(rest, specific[len(v):], th)
+                if specific[: len(v)] == v
+                else None
+            )
+        for k in range(len(specific) + 1):
+            th2 = dict(th)
+            th2[p] = specific[:k]
+            got = ref_pattern_instance(rest, specific[k:], th2)
+            if got is not None:
+                return got
+        return None
+    if not specific:
+        return None
+    d = specific[0]
+    if isinstance(p, Var):  # s-variable hole
+        if not (isinstance(d, Sym) or (isinstance(d, Var) and d.kind == "s")):
+            return None
+        if p in th:
+            return ref_pattern_instance(rest, specific[1:], th) if th[p] == (d,) else None
+        th2 = dict(th)
+        th2[p] = (d,)
+        return ref_pattern_instance(rest, specific[1:], th2)
+    if isinstance(p, Sym):
+        return ref_pattern_instance(rest, specific[1:], th) if p == d else None
+    if isinstance(p, Paren):
+        if not isinstance(d, Paren):
+            return None
+        got = ref_pattern_instance(p.items, d.items, th)
+        if got is None:
+            return None
+        return ref_pattern_instance(rest, specific[1:], got)
     return None
 
 

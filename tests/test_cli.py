@@ -92,6 +92,36 @@ def test_supercompile_writes_trace(model_file, tmp_path):
     assert lines and all(json.loads(l)["v"] == 1 for l in lines)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--entry", "Foo", "--mode", "indirect"],
+        ["verify", "--entry", "Foo", "--mode", "direct"],
+        ["supercompile", "--function", "Foo"],
+        ["supercompile", "--entry", "Foo(e.x)"],
+        ["supercompile", "--entry", "Main((rm) (I), (I))"],
+        ["supercompile", "--entry", "Main(e.x) Main(e.y)"],
+    ],
+    ids=[
+        "verify-indirect", "verify-direct", "function", "entry-name", "entry-arity",
+        "entry-two-tasks",
+    ],
+)
+def test_entry_names_are_checked_against_the_model(model_file, capsys, argv):
+    rc = main([argv[0], model_file] + argv[1:])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "Traceback" not in out.err
+
+
+def test_supercompile_long_entry_ends_in_a_budget_exit(model_file, capsys):
+    entry = "Main((" + "rm " * 1500 + "e.x) (" + "I " * 1500 + "e.y))"
+    rc = main(["supercompile", model_file, "--entry", entry, "--max-nodes", "40"])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("budget exceeded")
+
+
 def test_verify_direct_exit0(model_file, capsys):
     rc = main(["verify", model_file, "--mode", "direct", "--passes", "1"])
     assert rc == 0

@@ -12,6 +12,7 @@ from oracles import (
     naive_bullet_count,
     naive_contains_call,
     naive_is_ground,
+    naive_render_seq,
     naive_replace_bullet,
     naive_split_leftmost_call,
     naive_subst_seq,
@@ -36,8 +37,10 @@ from scpv.lang import (
     is_ground,
     iter_items,
     parse_expr,
+    parse_program,
 )
-from scpv.transform import IncompleteGraph, _render_seq
+from scpv.engine import parse_entry_config
+from scpv.transform import IncompleteGraph, _render_seq, _subst_vars_seq
 
 S1, E2, E3 = Param("s", 1), Param("e", 2), Param("e", 3)
 SX, EY, SZ = Var("s", "x"), Var("e", "y"), Var("s", "z")
@@ -80,7 +83,7 @@ def outcome(fn, *args):
     """The result of fn, or the type of the exception it raised."""
     try:
         return "ok", fn(*args)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, IncompleteGraph) as e:
         return "raise", type(e)
 
 
@@ -141,6 +144,30 @@ def test_subst_vars_agrees_with_naive(seq, env):
         assert flags_sound(got[1])
 
 
+class KeepUnbound(dict):
+    """An environment in which an unbound variable stands for itself."""
+
+    def __missing__(self, v):
+        return (v,)
+
+
+@walker_settings
+@given(seqs, envs)
+def test_subst_vars_keeping_unbound_agrees_with_naive(seq, env):
+    got = _subst_vars_seq(seq, env)
+    assert got == naive_subst_vars(seq, KeepUnbound(env))
+    assert flags_sound(got)
+
+
+@walker_settings
+@given(seqs)
+def test_render_agrees_with_naive(seq):
+    got = outcome(_render_seq, seq)
+    assert got == outcome(naive_render_seq, seq)
+    if got[0] == "ok":
+        assert flags_sound(got[1])
+
+
 @walker_settings
 @given(seqs)
 def test_build_route_changes_neither_equality_nor_hash(seq):
@@ -174,3 +201,10 @@ def test_render_finds_a_bullet_at_any_depth():
     ):
         with pytest.raises(IncompleteGraph):
             _render_seq(bad)
+
+
+def test_entry_parameters_numbered_by_first_occurrence():
+    prog = parse_program("F { e.x, e.y => e.x; }")
+    cfg = parse_entry_config(prog, "F((s.b e.a), (e.a) s.c s.b)")
+    s1, e2, s3 = Param("s", 1), Param("e", 2), Param("s", 3)
+    assert cfg.stack[0].args == ((Paren((s1, e2)),), (Paren((e2,)), s3, s1))

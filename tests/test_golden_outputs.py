@@ -1,16 +1,25 @@
 """Golden digests of verification outputs.
 
-The sha256 of the printed residual and of the JSON-lines trace, for two
-shipped models in both modes. A change that alters either output on purpose
-updates the digest here and says why in CHANGES.md; a change that only makes
-verification faster leaves every digest as it is.
+The sha256 of the printed residual and of the JSON-lines trace, for the
+shipped models in both modes. MESI is the model whose residuals drop many
+rules as subsumed, so its cases exercise the rule-subsumption matcher. A
+change that alters either output on purpose updates the digest here and says
+why in CHANGES.md; a change that only makes verification faster leaves every
+digest as it is.
 """
 
 import hashlib
 
 import pytest
 
-from scpv.corpus import MSI_SPEC_SRC, generate_model, parse_protocol_spec, synapse_model
+from scpv.corpus import (
+    MESI_SPEC_SRC,
+    MSI_SPEC_SRC,
+    generate_model,
+    parse_protocol_spec,
+    synapse_model,
+    synapse_unsafe_mutant,
+)
 from scpv.engine import verify_protocol
 from scpv.lang import print_program
 
@@ -36,11 +45,28 @@ GOLDEN = {
         "7d0d0ef31d949cebfafcfeca04ef369dc9ce22961e9377f67672d7a885320739",
         None,
     ),
+    ("mesi.spec", "direct", 1): (
+        "bf7f29b514554e245e86b063608dffcdb7d575e419f541156e7f0bd213cb2f3b",
+        "eb11a115bd5ce47abd650dbb068a03c626030719b861a53952ffd0c29e7775e2",
+    ),
+    ("mesi.spec", "indirect", 2): (
+        "eb59ba768014edaf1f68002a5f00209ac750d95ff68ab3c48105c9230e83cbb7",
+        None,
+    ),
+    ("synapse_unsafe_mutant.l", "direct", 2): (
+        "d6d50bc3f6f91026e21df78198da3c77a88dd9de4cb1a0307230e06c409a3ec3",
+        "9739c6b53c448fb794b45ca1e4f6df8c40cffe78622779ea848e2ff1e6634fcc",
+    ),
 }
+
+# a confirmed counterexample ends the run after its pass
+WITNESS_PASS = {("synapse_unsafe_mutant.l", "direct", 2): 1}
 
 MODELS = {
     "synapse.l": synapse_model,
     "msi.spec": lambda: generate_model(parse_protocol_spec(MSI_SPEC_SRC)),
+    "mesi.spec": lambda: generate_model(parse_protocol_spec(MESI_SPEC_SRC)),
+    "synapse_unsafe_mutant.l": synapse_unsafe_mutant,
 }
 
 
@@ -53,7 +79,7 @@ def test_outputs_match_golden_digests(case):
     name, mode, passes = case
     want_residual, want_trace = GOLDEN[case]
     report = verify_protocol(MODELS[name](), mode=mode, passes=passes)
-    assert report["passes_used"] == passes
+    assert report["passes_used"] == WITNESS_PASS.get(case, passes)
     assert sha256(print_program(report["residual"])) == want_residual
     if want_trace is not None:
         assert sha256(report["trace"].to_jsonl()) == want_trace

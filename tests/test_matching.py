@@ -1,4 +1,5 @@
-"""Rule matching, pre-decomposed rule tables and fold matching.
+"""Rule matching, pre-decomposed rule tables, and instance matching for
+folds and rule subsumption.
 
 The packaged matchers are checked against the reference copies in
 ``oracles.py`` on random patterns and parameterized data, and the rule
@@ -8,7 +9,7 @@ table's pre-decomposition against decomposing after instantiation.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _random_pattern, ref_inst_seq, ref_match_rule
+from oracles import _random_pattern, ref_inst_seq, ref_match_rule, ref_pattern_instance
 from scpv.config import decompose_expr
 from scpv.corpus import (
     MESI_SPEC_SRC,
@@ -21,8 +22,20 @@ from scpv.corpus import (
     synapse_unsafe_mutant,
 )
 from scpv.driving import FAIL, NotSupported, _match_rule, _subst_vars, rule_table
-from scpv.lang import BULLET, Call, Paren, Param, Sym, Var, vars_of
-from scpv.transform import _MATCH_BUDGET, _Budget, _inst_seq
+from scpv.lang import (
+    BULLET,
+    MATCH_BUDGET,
+    Budget,
+    Call,
+    Paren,
+    Param,
+    Rule,
+    Sym,
+    Var,
+    inst_seq,
+    vars_of,
+)
+from scpv.transform import _rule_subsumed
 
 SYMS = (Sym("a", char=True), Sym("I"), Sym("T"))
 S_PARAMS = (Param("s", 1), Param("s", 2))
@@ -189,9 +202,56 @@ def test_fold_matcher_agrees_with_reference(pat, close, data):
         subj = fill(pat, Param, theta.__getitem__)
     else:
         subj = data.draw(fold_seqs)
-    ref_budget, budget = _Budget(_MATCH_BUDGET), _Budget(_MATCH_BUDGET)
+    ref_budget, budget = Budget(MATCH_BUDGET), Budget(MATCH_BUDGET)
     want = ref_inst_seq(pat, subj, {}, ref_budget)
-    got = _inst_seq(pat, subj, {}, budget)
+    got = inst_seq(pat, subj, {}, budget)
     if ref_budget.n > 0:
         assert got == want
     assert budget.n >= ref_budget.n
+
+
+# residual rule patterns: symbols, s- and e-variables and parens
+residual_item = st.recursive(
+    st.sampled_from(SYMS[:2] + (SX, SY, EX, EY)),
+    lambda kids: st.lists(kids, max_size=3).map(lambda xs: Paren(tuple(xs))),
+    max_leaves=8,
+)
+residual_seqs = st.lists(residual_item, max_size=4).map(tuple)
+
+
+@matcher_settings
+@given(st.lists(residual_seqs, min_size=1, max_size=2), st.booleans(), st.data())
+def test_subsumption_matcher_agrees_with_reference(general, close, data):
+    general = tuple(general)
+    if close:
+        env = {
+            v: (data.draw(st.sampled_from(SYMS + (SX, SY))),)
+            if v.kind == "s"
+            else data.draw(residual_seqs)
+            for v in (SX, SY, EX, EY)
+        }
+        specific = tuple(fill(g, Var, env.__getitem__) for g in general)
+    else:
+        specific = tuple(data.draw(residual_seqs) for _ in general)
+    budget = Budget(MATCH_BUDGET)
+    got, want = {}, {}
+    for g, sp in zip(general, specific):
+        got = None if got is None else inst_seq(g, sp, got, budget)
+        want = None if want is None else ref_pattern_instance(g, sp, want)
+    if budget.n > 0:
+        assert got == want
+        assert _rule_subsumed(Rule(general, ()), Rule(specific, ())) == (want is not None)
+
+
+def test_instance_matchers_take_long_sequences():
+    # one step per item, not one stack frame: 5,000 items match within the
+    # budget and without RecursionError
+    a, b = SYMS[1], SYMS[2]
+    s1, e3 = S_PARAMS[0], E_PARAMS[0]
+    pat = tuple(Paren((s1,)) if i % 2 else a for i in range(4999)) + (e3,)
+    subj = tuple(Paren((b,)) if i % 2 else a for i in range(4999)) + (b, a)
+    assert inst_seq(pat, subj, {}, Budget(MATCH_BUDGET)) == {s1: (b,), e3: (b, a)}
+    early = Rule(((SX,) + (a,) * 4998 + (EX,),), ())
+    late = Rule(((b,) + (a,) * 4998 + (EY,),), ())
+    assert _rule_subsumed(early, late)
+    assert not _rule_subsumed(late, early)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .corpus import generate_model, parse_protocol_spec
@@ -42,6 +41,13 @@ def _limits(args) -> Limits:
         max_depth=args.max_depth,
         time_budget_s=args.time_budget_s,
     )
+
+
+def _write_trace(path, trace) -> None:
+    """Write the trace as JSON lines, when a path and a trace are given."""
+    if path and trace:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(trace.to_jsonl() + "\n")
 
 
 def _add_limit_flags(p):
@@ -90,7 +96,7 @@ def cmd_supercompile(args) -> int:
         entry = parse_entry_config(prog, args.entry)
         entry_name = entry.stack[0].fname + "Res" if entry.stack else "Res"
     else:
-        entry, _ = make_entry_config(prog, args.function)
+        entry = make_entry_config(prog, args.function)
         entry_name = args.function + "Res"
     trace = Trace()
     try:
@@ -99,9 +105,7 @@ def cmd_supercompile(args) -> int:
         )
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
-        if args.trace and e.trace:
-            with open(args.trace, "w", encoding="utf-8") as f:
-                f.write(e.trace.to_jsonl() + "\n")
+        _write_trace(args.trace, e.trace)
         return EXIT_BUDGET
     text = print_program(residual)
     if args.output:
@@ -109,9 +113,7 @@ def cmd_supercompile(args) -> int:
             f.write(text)
     else:
         print(text)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write(trace.to_jsonl() + "\n")
+    _write_trace(args.trace, trace)
     return EXIT_OK
 
 
@@ -130,9 +132,7 @@ def cmd_verify(args) -> int:
         )
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
-        if args.trace and e.trace:
-            with open(args.trace, "w", encoding="utf-8") as f:
-                f.write(e.trace.to_jsonl() + "\n")
+        _write_trace(args.trace, e.trace)
         return EXIT_BUDGET
     lines = {
         "mode": report["mode"],
@@ -141,19 +141,14 @@ def cmd_verify(args) -> int:
         "passes": report["passes"],
         "witness": report["witness"],
         "violations": report["violations"],
+        "warnings": report["warnings"],
+        "events": report["trace"].event_count,
     }
-    if os.environ.get("SCPV_TRACE_LEVEL", "0") not in ("", "0"):
-        lines["warnings"] = report["warnings"]
-        trace = report.get("trace")
-        if trace:
-            lines["events"] = trace.event_count
     print(json.dumps(lines, indent=2, default=str))
     if args.residual:
         with open(args.residual, "w", encoding="utf-8") as f:
             f.write(print_program(report["residual"]))
-    if args.trace and report.get("trace"):
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write(report["trace"].to_jsonl() + "\n")
+    _write_trace(args.trace, report["trace"])
     return EXIT_OK if report["safe"] else EXIT_UNSAFE
 
 

@@ -29,7 +29,6 @@ from .lang import (
     HAS_VAR,
     LangError,
     Param,
-    Paren,
     Program,
     Seq,
     Sym,
@@ -129,12 +128,7 @@ class ProcessGraph:
         return killed
 
     def stats(self) -> dict:
-        live = [n for n in self.nodes.values() if not n.dead]
-        return {
-            "nodes": len(live),
-            "folds": sum(1 for n in live if n.kind == "fold"),
-            "letsplits": sum(1 for n in live if n.kind == "letsplit"),
-        }
+        return {"nodes": sum(1 for n in self.nodes.values() if not n.dead)}
 
 
 class Trace:
@@ -170,7 +164,7 @@ class Trace:
         """The event records, with every configuration printed."""
         for rec in self._events[self._rendered :]:
             rec.update(
-                [(k, _print_config(v)) for k, v in rec.items() if isinstance(v, Configuration)]
+                [(k, repr(v)) for k, v in rec.items() if isinstance(v, Configuration)]
             )
         self._rendered = len(self._events)
         return self._events
@@ -180,10 +174,6 @@ class Trace:
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(e, sort_keys=True) for e in self.events)
-
-
-def _print_config(c: Configuration) -> str:
-    return repr(c)
 
 
 def _theta_str(theta: dict) -> dict:
@@ -254,8 +244,8 @@ def _note_generalization(trace: Trace, c1: Configuration, c2: Configuration):
     if trace.instrument and trace.first_generalization is None:
         trace.first_generalization = {
             "match_nil_headed": _match_headed_nil(c1) and _match_headed_nil(c2),
-            "prev": _print_config(c1),
-            "cur": _print_config(c2),
+            "prev": repr(c1),
+            "cur": repr(c2),
         }
 
 
@@ -283,15 +273,6 @@ class Engine:
         if time.monotonic() - self.t0 > self.limits.time_budget_s:
             raise BudgetExceeded("time budget exceeded", self.graph, self.trace)
 
-    def _record_fold(self, source: Node, target_id: int, theta: dict) -> None:
-        source.kind = "fold"
-        source.fold_target = target_id
-        source.fold_theta = theta
-        self.graph.fold_sources.setdefault(target_id, []).append(source.id)
-        self.trace.emit(
-            "Fold", node=source.id, target=target_id, theta=_theta_str(theta)
-        )
-
     def _enqueue_task(self, node: Node) -> None:
         """Queue a specialization task, folding it into an equivalent
         earlier task root instead when one exists."""
@@ -302,20 +283,20 @@ class Engine:
                 continue
             theta = fold_instance(root.config, node.config)
             if theta is not None:
-                self._record_fold(node, rid, theta)
-                _check_action(self.trace, "fold", root.config, node.config)
-                self._complete(node)
+                self._fold(node, rid, theta)
                 return
         self.graph.task_roots.setdefault(key, []).append(node.id)
         self.tasks.append(node.id)
 
-    def _after_kill(self, killed) -> None:
-        """Reopen surviving fold sources whose target was removed."""
-        killed_set = set(killed)
+    def _kill_below(self, nid: int) -> None:
+        """Remove the sub-tree below nid and its nodes from the agenda;
+        reopen surviving fold sources whose target was removed."""
+        killed = self.graph.kill_subtree(nid)
+        self.agenda = [a for a in self.agenda if not self.graph.node(a).dead]
         for tid in killed:
             for sid in self.graph.fold_sources.pop(tid, ()):
                 s = self.graph.node(sid)
-                if s.dead or sid in killed_set:
+                if s.dead:
                     continue
                 s.kind = "open"
                 s.fold_target = None
@@ -390,8 +371,7 @@ class Engine:
                 config = res.branches[0].successor
                 self.trace.transitive_steps += 1
                 skipped += 1
-                if time.monotonic() - self.t0 > self.limits.time_budget_s:
-                    raise BudgetExceeded("time budget exceeded", self.graph, self.trace)
+                self._check_budget()
                 continue
             break
         node.config = config
@@ -412,18 +392,7 @@ class Engine:
         # eager folding: path ancestors and completed nodes
         target = self._find_fold(node)
         if target is not None:
-            tid, theta = target
-            self._record_fold(node, tid, theta)
-            _check_action(
-                self.trace, "fold", self.graph.node(tid).config, node.config
-            )
-            if self.trace.instrument and self.trace.first_generalization is None:
-                if not _match_headed_nil(node.config):
-                    self.trace.violations.append(
-                        "fold before the first generalization is not Match-[]-headed"
-                    )
-            self._verify_fold(tid, theta, node.config)
-            self._complete(node)
+            self._fold(node, *target)
             return
 
         # the whistle
@@ -441,9 +410,9 @@ class Engine:
             )
             if decision.kind == "turchin":
                 self._act_split(node, anc_id, decision.witness)
-            else:
-                self._act_generalize(node, anc_id)
-            return
+                return
+            if self._act_generalize(node, anc_id):
+                return
 
         self._make_drive(node, res.branches)
 
@@ -528,34 +497,60 @@ class Engine:
                 return cand.id, theta
         return None
 
-    def _verify_fold(self, tid: int, theta: dict, current: Configuration) -> None:
-        target = self.graph.node(tid).config
-        if not _equal_but_labels(subst_config(target, theta), current):
+    def _fold(self, source: Node, target_id: int, theta: dict) -> None:
+        """Fold source into the target: record the fold, check the strategy
+        invariants and the instance equation target*theta = source, and
+        complete source."""
+        target = self.graph.node(target_id).config
+        source.kind = "fold"
+        source.fold_target = target_id
+        source.fold_theta = theta
+        self.graph.fold_sources.setdefault(target_id, []).append(source.id)
+        self.trace.emit(
+            "Fold", node=source.id, target=target_id, theta=_theta_str(theta)
+        )
+        _check_action(self.trace, "fold", target, source.config)
+        if (
+            self.trace.instrument
+            and self.trace.first_generalization is None
+            and not _match_headed_nil(source.config)
+        ):
+            self.trace.violations.append(
+                "fold before the first generalization is not Match-[]-headed"
+            )
+        if not _equal_but_labels(subst_config(target, theta), source.config):
             raise PropertyViolation(
-                f"fold substitution fails the instance equation for node {tid}"
+                f"fold substitution fails the instance equation for node {target_id}"
             )
         self.trace.fold_checked += 1
+        self._complete(source)
 
     # -- whistle actions ---------------------------------------------------------
 
-    def _act_generalize(self, node: Node, anc_id: int) -> None:
-        anc = self.graph.node(anc_id)
-        theta = fold_instance(anc.config, node.config)
-        if theta is not None:
-            self._record_fold(node, anc_id, theta)
-            _check_action(self.trace, "fold", anc.config, node.config)
-            self._verify_fold(anc_id, theta, node.config)
-            self._complete(node)
-            return
+    def _generalize(self, c1: Configuration, c2: Configuration, what: str):
+        """The msg of c1 and c2, with its strategy invariants and both
+        equations gen*theta1 = c1, gen*theta2 = c2 checked; None, after a
+        warning prefixed ``what``, when the two have no msg."""
         try:
-            g = msg(anc.config, node.config, self.pgen)
+            g = msg(c1, c2, self.pgen)
         except Incompatible as e:
-            self.trace.warn(f"msg failed on whistle pair: {e}")
-            self._make_drive_from_config(node)
-            return
-        _check_action(self.trace, "generalize", anc.config, node.config)
-        _note_generalization(self.trace, anc.config, node.config)
-        self._verify_msg(g, anc.config, node.config)
+            self.trace.warn(f"{what}: {e}")
+            return None
+        _check_action(self.trace, "generalize", c1, c2)
+        _note_generalization(self.trace, c1, c2)
+        for theta, target, tag in ((g.theta1, c1, 1), (g.theta2, c2, 2)):
+            if not _equal_but_labels(subst_config(g.gen, theta), target):
+                raise PropertyViolation(f"msg equation gen*theta{tag} failed")
+        self.trace.msg_checked += 1
+        return g
+
+    def _act_generalize(self, node: Node, anc_id: int) -> bool:
+        """Generalize the whistle's ancestor and restart it; False when the
+        pair has no msg, and the node is driven instead."""
+        anc = self.graph.node(anc_id)
+        g = self._generalize(anc.config, node.config, "msg failed on whistle pair")
+        if g is None:
+            return False
         self.trace.emit(
             "Generalize",
             node=node.id,
@@ -565,6 +560,7 @@ class Engine:
             theta2=_theta_str(g.theta2),
         )
         self._restart(anc, g.gen, g.theta1)
+        return True
 
     def _act_split(self, node: Node, anc_id: int, witness) -> None:
         anc = self.graph.node(anc_id)
@@ -583,23 +579,14 @@ class Engine:
         prefix_entry = None
         context_entry = None
         if fold_instance(prefix, cur_prefix) is None:
-            try:
-                g = msg(prefix, cur_prefix, self.pgen)
-                _note_generalization(self.trace, prefix, cur_prefix)
-                _check_action(self.trace, "generalize", prefix, cur_prefix)
-                self._verify_msg(g, prefix, cur_prefix)
+            g = self._generalize(prefix, cur_prefix, "prefix msg failed")
+            if g is not None:
                 prefix, prefix_entry = g.gen, g.theta1
-            except Incompatible as e:
-                self.trace.warn(f"prefix msg failed: {e}")
         if fold_instance(context, cur_context) is None:
-            try:
-                g = msg(context, cur_context, self.pgen)
-                _check_action(self.trace, "generalize", context, cur_context)
-                self._verify_msg(g, context, cur_context)
+            g = self._generalize(context, cur_context, "context msg failed")
+            if g is not None:
                 context, context_entry = g.gen, g.theta1
                 self.trace.warn("context generalized at a split point")
-            except Incompatible as e:
-                self.trace.warn(f"context msg failed: {e}")
         self.trace.emit(
             "TaskSplit",
             node=anc_id,
@@ -607,9 +594,7 @@ class Engine:
             prefix=prefix,
             context=context,
         )
-        killed = self.graph.kill_subtree(anc_id)
-        self._prune_agenda()
-        self._after_kill(killed)
+        self._kill_below(anc_id)
         anc.kind = "letsplit"
         p_node = self.graph.new_node(prefix, parent=anc_id, path=())
         p_node.entry_subst = prefix_entry
@@ -622,9 +607,7 @@ class Engine:
         self._enqueue_task(c_node)
 
     def _restart(self, anc: Node, gen: Configuration, theta1: dict) -> None:
-        killed = self.graph.kill_subtree(anc.id)
-        self._prune_agenda()
-        self._after_kill(killed)
+        self._kill_below(anc.id)
         anc.config = gen
         anc.kind = "open"
         anc.entry_subst = (
@@ -639,28 +622,6 @@ class Engine:
         anc.pending_children = 0
         self._retarget_folds(anc, theta1)
         self.agenda.append(anc.id)
-
-    def _prune_agenda(self) -> None:
-        self.agenda = [
-            nid for nid in self.agenda if not self.graph.node(nid).dead
-        ]
-
-    def _verify_msg(self, g, c1: Configuration, c2: Configuration) -> None:
-        for theta, target, tag in ((g.theta1, c1, 1), (g.theta2, c2, 2)):
-            if not _equal_but_labels(subst_config(g.gen, theta), target):
-                raise PropertyViolation(f"msg equation gen*theta{tag} failed")
-        self.trace.msg_checked += 1
-
-    def _make_drive_from_config(self, node: Node) -> None:
-        res = drive(node.config, self.prog, self.clock, self.pgen, self.trace.warn)
-        if res.kind == "branches":
-            self._make_drive(node, res.branches)
-        elif res.kind == "passive":
-            node.kind = "passive"
-            node.value = res.value
-            self._complete(node)
-        else:
-            self._make_letsplit(node, res.primary, res.deferred)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +653,6 @@ def supercompile(
 class SafetyVerdict:
     safe: bool
     witnesses: list
-    passes_used: int = 0
 
 
 def verify_safety(residual: Program, unsafe_symbol: str = "False") -> SafetyVerdict:
@@ -810,15 +770,12 @@ def _check_defined(prog: Program, fname: str) -> None:
         raise LangError(f"no function {fname}")
 
 
-def make_entry_config(prog: Program, fname: str, pgen: Optional[ParamGen] = None):
+def make_entry_config(prog: Program, fname: str) -> Configuration:
     """A fully parameterized call of a defined function, as a configuration."""
     _check_defined(prog, fname)
-    pgen = pgen or ParamGen(1)
-    params = [pgen.fresh("e") for _ in range(prog.arity(fname))]
-    cfg = Configuration(
-        (TimedApp(fname, tuple((p,) for p in params), 0),), (BULLET,)
-    )
-    return cfg, params
+    pgen = ParamGen(1)
+    args = tuple((pgen.fresh("e"),) for _ in range(prog.arity(fname)))
+    return Configuration((TimedApp(fname, args, 0),), (BULLET,))
 
 
 def parse_entry_config(prog: Program, text: str):
@@ -828,7 +785,7 @@ def parse_entry_config(prog: Program, text: str):
     seq = parse_expr(text)
     errors = call_errors(seq, prog, "the entry")
     if errors:
-        raise LangError("; ".join(errors))
+        raise LangError("; ".join(e.removeprefix("error: ") for e in errors))
     pgen = ParamGen(1)
     mapping = {}
 
@@ -871,7 +828,7 @@ def verify_protocol(
     counterexample (``find_witness``); a confirmed one is the report's
     ``witness`` and ends the run. One trace covers every pass.
     """
-    from .corpus import self_interpreter
+    from .corpus import int_entry_args, self_interpreter
 
     _check_defined(model, entry)
     limits = limits or Limits()
@@ -884,25 +841,12 @@ def verify_protocol(
     }
     if mode == "direct":
         prog = model
-        entry_cfg, _ = make_entry_config(model, entry)
+        entry_cfg = make_entry_config(model, entry)
         entry_fn = entry
     elif mode == "indirect":
         prog = self_interpreter({model_name: model})
-        pgen = ParamGen(1)
-        p = pgen.fresh("e")
-        entry_cfg = Configuration(
-            (
-                TimedApp(
-                    "Int",
-                    (
-                        (Paren((Sym("Call"), Sym(entry), p)),),
-                        (Paren((Sym("Prog"), Sym(model_name))),),
-                    ),
-                    0,
-                ),
-            ),
-            (BULLET,),
-        )
+        args = int_entry_args(model_name, entry, (ParamGen(1).fresh("e"),))
+        entry_cfg = Configuration((TimedApp("Int", tuple(args), 0),), (BULLET,))
         entry_fn = "Int"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -949,7 +893,7 @@ def verify_protocol(
         if verdict.safe or witness or p_i + 1 >= passes:
             break
         current = residual
-        entry_cfg, _ = make_entry_config(residual, f"{entry_fn}Res")
+        entry_cfg = make_entry_config(residual, f"{entry_fn}Res")
     report["violations"] = trace.violations
     report["warnings"] = trace.warnings
     report["trace"] = trace

@@ -525,7 +525,7 @@ def parse_program(text: str, validate: bool = True) -> Program:
     if validate:
         errors = [d for d in validate_program(prog) if d.startswith("error")]
         if errors:
-            raise LangError("; ".join(errors))
+            raise LangError("; ".join(e.removeprefix("error: ") for e in errors))
     return prog
 
 

@@ -137,7 +137,6 @@ class TurchinWitness:
     prefix_i: tuple
     prefix_j: tuple
     context_i: tuple
-    context_j: tuple
 
 
 def turchin(ci: Configuration, cj: Configuration) -> Optional[TurchinWitness]:
@@ -171,7 +170,6 @@ def turchin(ci: Configuration, cj: Configuration) -> Optional[TurchinWitness]:
         ci.stack[: l - 1],
         cj.stack[: l - 1],
         ci.stack[l - 1 :],
-        cj.stack[m - shared :],
     )
 
 

@@ -252,9 +252,11 @@ class _Emitter:
 
     # -- expression for a node referenced in value position ---------------
 
-    def node_expr(self, nid: int) -> Seq:
+    def node_expr(self, nid: int, body: bool = False) -> Seq:
+        """The value of node nid; with ``body``, the right-hand side of the
+        function nid starts rather than a call of it."""
         node = self.g.node(nid)
-        if node.entry_subst is not None:
+        if node.entry_subst is not None and not body:
             return self.call_expr(nid, node.entry_subst)
         if node.kind == "passive":
             return node.value
@@ -288,7 +290,6 @@ class _Emitter:
             name = self.name_of(nid)
             if name in self.emitted:
                 continue
-            node = self.g.node(nid)
             formals = self.formals_of(nid)
             rules: list[Rule] = []
             self.flatten(nid, {}, formals, rules, root=True)
@@ -314,35 +315,15 @@ class _Emitter:
             )
 
     def flatten(self, nid: int, theta: dict, formals, rules, root=False) -> None:
+        """One rule per leaf below nid: a drive node's branches are inlined
+        unless it starts a function of its own, a stuck leaf adds no rule."""
         node = self.g.node(nid)
-        if not root and node.entry_subst is not None:
-            self.add_rule(
-                rules, formals, theta, self.call_expr(nid, node.entry_subst)
-            )
-            return
-        if node.kind == "drive":
+        if node.kind == "drive" and (root or node.entry_subst is None):
             for contraction, cid in node.children:
                 self.flatten(cid, compose_subst(theta, contraction), formals, rules)
-            return
-        if node.kind == "stuck":
-            return
-        if node.kind == "passive":
-            self.add_rule(rules, formals, theta, node.value)
-            return
-        if node.kind == "fold":
-            self.add_rule(
-                rules, formals, theta,
-                self.call_expr(node.fold_target, node.fold_theta),
-            )
-            return
-        if node.kind == "letsplit":
-            self.add_rule(rules, formals, theta, self.let_expr(node))
-            return
-        raise IncompleteGraph(f"open node {nid} while flattening")
-
-    def add_rule(self, rules, formals, theta, rhs: Seq) -> None:
-        lhs = tuple(subst_seq((p,), theta) for p in formals)
-        rules.append(Rule(lhs, rhs))
+        elif node.kind != "stuck":
+            lhs = tuple(subst_seq((p,), theta) for p in formals)
+            rules.append(Rule(lhs, self.node_expr(nid, body=root)))
 
 
 def build_residual(graph, entry_id: int, entry_name: str) -> Program:

@@ -15,6 +15,13 @@ def model_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def bad_model_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("models") / "bad.l"
+    p.write_text("Main { e.x => Foo(e.x); }\n")
+    return str(p)
+
+
+@pytest.fixture(scope="module")
 def mutant_file(tmp_path_factory):
     p = tmp_path_factory.mktemp("models") / "synapse_unsafe_mutant.l"
     p.write_text(SYNAPSE_UNSAFE_SRC)
@@ -93,26 +100,28 @@ def test_supercompile_writes_trace(model_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "model, argv",
     [
-        ["verify", "--entry", "Foo", "--mode", "indirect"],
-        ["verify", "--entry", "Foo", "--mode", "direct"],
-        ["supercompile", "--function", "Foo"],
-        ["supercompile", "--entry", "Foo(e.x)"],
-        ["supercompile", "--entry", "Main((rm) (I), (I))"],
-        ["supercompile", "--entry", "Main(e.x) Main(e.y)"],
+        ("model_file", ["verify", "--entry", "Foo", "--mode", "indirect"]),
+        ("model_file", ["verify", "--entry", "Foo", "--mode", "direct"]),
+        ("model_file", ["supercompile", "--function", "Foo"]),
+        ("model_file", ["supercompile", "--entry", "Foo(e.x)"]),
+        ("model_file", ["supercompile", "--entry", "Main((rm) (I), (I))"]),
+        ("model_file", ["supercompile", "--entry", "Main(e.x) Main(e.y)"]),
+        ("bad_model_file", ["verify"]),
     ],
     ids=[
         "verify-indirect", "verify-direct", "function", "entry-name", "entry-arity",
-        "entry-two-tasks",
+        "entry-two-tasks", "model-call",
     ],
 )
-def test_entry_names_are_checked_against_the_model(model_file, capsys, argv):
-    rc = main([argv[0], model_file] + argv[1:])
+def test_entry_names_are_checked_against_the_model(model, argv, request, capsys):
+    rc = main([argv[0], request.getfixturevalue(model)] + argv[1:])
     assert rc == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and "Traceback" not in out.err
+    assert "error: error:" not in out.err
 
 
 def test_supercompile_long_entry_ends_in_a_budget_exit(model_file, capsys):
@@ -129,8 +138,7 @@ def test_verify_direct_exit0(model_file, capsys):
     assert rep["safe"] is True
 
 
-def test_verify_trace_level_counts_written_events(model_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SCPV_TRACE_LEVEL", "1")
+def test_verify_trace_level_counts_written_events(model_file, tmp_path, capsys):
     tr = tmp_path / "t.jsonl"
     rc = main(["verify", model_file, "--mode", "direct", "--trace", str(tr)])
     assert rc == 0

@@ -28,7 +28,7 @@ def syn():
 
 @pytest.fixture(scope="module")
 def direct_run(syn):
-    entry, _ = make_entry_config(syn, "Main")
+    entry = make_entry_config(syn, "Main")
     return supercompile(syn, entry, Limits(time_budget_s=60), Trace(), entry_name="MainRes")
 
 
@@ -70,8 +70,8 @@ def test_ground_entry_residualizes_to_constant(syn):
 
 
 def test_trace_determinism(syn):
-    entry1, _ = make_entry_config(syn, "Main")
-    entry2, _ = make_entry_config(syn, "Main")
+    entry1 = make_entry_config(syn, "Main")
+    entry2 = make_entry_config(syn, "Main")
     _, _, t1 = supercompile(syn, entry1, Limits(), Trace(), entry_name="M")
     _, _, t2 = supercompile(syn, entry2, Limits(), Trace(), entry_name="M")
     assert t1.to_jsonl() == t2.to_jsonl()
@@ -81,7 +81,7 @@ def test_trace_determinism(syn):
 
 def test_trace_renders_the_same_text_on_every_read(syn):
     # configurations are stored on emit and printed when first read
-    entry, _ = make_entry_config(syn, "Main")
+    entry = make_entry_config(syn, "Main")
     _, _, fresh = supercompile(syn, entry, Limits(), Trace(), entry_name="M")
     _, _, read = supercompile(syn, entry, Limits(), Trace(), entry_name="M")
     count = read.event_count
@@ -121,7 +121,7 @@ def test_empty_program_safe():
 
 
 def test_budget_exceeded_carries_graph(syn):
-    entry, _ = make_entry_config(syn, "Main")
+    entry = make_entry_config(syn, "Main")
     with pytest.raises(BudgetExceeded) as e:
         supercompile(syn, entry, Limits(max_nodes=5), Trace())
     assert e.value.graph is not None
@@ -132,6 +132,18 @@ def test_direct_verify_report(syn):
     assert rep["safe"] is True
     assert rep["passes_used"] == 1
     assert rep["passes"][0]["nodes"] > 10
+
+
+@pytest.mark.parametrize("mode, passes", [("direct", 1), ("indirect", 2)])
+def test_every_fold_is_checked(syn, mode, passes):
+    # each pass's instance-equation count covers every Fold event of that
+    # pass, task-root folds included; a Pass event opens every later pass
+    rep = verify_protocol(syn, mode=mode, passes=passes)
+    events = rep["trace"].events
+    cuts = [0] + [i for i, e in enumerate(events) if e["ev"] == "Pass"] + [len(events)]
+    folds = [sum(e["ev"] == "Fold" for e in events[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert len(folds) == passes
+    assert [p["fold_checked"] for p in rep["passes"]] == folds
 
 
 def test_indirect_first_generalization_shape(syn):
@@ -195,7 +207,7 @@ def test_fold_edges_expose_equations(syn):
     from scpv.config import subst_config
     from scpv.engine import Engine
 
-    entry, _ = make_entry_config(syn, "Main")
+    entry = make_entry_config(syn, "Main")
     eng = Engine(syn, Limits(), Trace())
     eng.run(entry)
     folds = [n for n in eng.graph.nodes.values() if not n.dead and n.kind == "fold"]
@@ -211,7 +223,7 @@ def test_fold_edges_expose_equations(syn):
 def test_trace_covers_graph_events(syn):
     from scpv.engine import Engine
 
-    entry, _ = make_entry_config(syn, "Main")
+    entry = make_entry_config(syn, "Main")
     eng = Engine(syn, Limits(), Trace())
     eng.run(entry)
     drive_ids = {e["node"] for e in eng.trace.events if e["ev"] == "Drive"}
@@ -366,7 +378,7 @@ def test_witness_through_a_generalization():
     from scpv.engine import find_witness
 
     model = generate_model(parse_protocol_spec(GEN39_SPEC))
-    entry, _ = make_entry_config(model, "Main")
+    entry = make_entry_config(model, "Main")
     _, graph, _ = supercompile(model, entry, Limits(max_nodes=1_000))
     leaves = [
         n for n in graph.nodes.values()

@@ -23,7 +23,7 @@ from scpv.corpus import (
 from scpv.engine import verify_protocol
 from scpv.lang import print_program
 
-# (model, mode, passes) -> (residual digest, trace digest or None)
+# (model, mode, passes) -> (residual digest, trace digest)
 GOLDEN = {
     ("synapse.l", "direct", 1): (
         "1467cf98833264f0076f327fd2e71048ed8ba6ba17c9d7f56265b64476b08f37",
@@ -43,7 +43,7 @@ GOLDEN = {
     ),
     ("synapse.l", "indirect", 2): (
         "7d0d0ef31d949cebfafcfeca04ef369dc9ce22961e9377f67672d7a885320739",
-        None,
+        "5f3fa138cf068dd3e42b6abe1cf21a0f96c74a0298096b5286d4f25342083f61",
     ),
     ("mesi.spec", "direct", 1): (
         "bf7f29b514554e245e86b063608dffcdb7d575e419f541156e7f0bd213cb2f3b",
@@ -51,7 +51,7 @@ GOLDEN = {
     ),
     ("mesi.spec", "indirect", 2): (
         "eb59ba768014edaf1f68002a5f00209ac750d95ff68ab3c48105c9230e83cbb7",
-        None,
+        "21aa8af89abc657b3a71f7faa27920492bd9bb551dbf6caa48a79bfc4e33197b",
     ),
     ("synapse_unsafe_mutant.l", "direct", 2): (
         "d6d50bc3f6f91026e21df78198da3c77a88dd9de4cb1a0307230e06c409a3ec3",
@@ -81,5 +81,4 @@ def test_outputs_match_golden_digests(case):
     report = verify_protocol(MODELS[name](), mode=mode, passes=passes)
     assert report["passes_used"] == WITNESS_PASS.get(case, passes)
     assert sha256(print_program(report["residual"])) == want_residual
-    if want_trace is not None:
-        assert sha256(report["trace"].to_jsonl()) == want_trace
+    assert sha256(report["trace"].to_jsonl()) == want_trace

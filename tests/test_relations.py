@@ -313,7 +313,7 @@ def test_well_disordering_budget_on_corpus_paths():
     from scpv.engine import make_entry_config
 
     syn = synapse_model()
-    entry, _ = make_entry_config(syn, "Main")
+    entry = make_entry_config(syn, "Main")
     clock, pgen = Clock(), ParamGen()
     budget = 10_000
     paths_done = 0

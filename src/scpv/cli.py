@@ -129,6 +129,7 @@ def cmd_verify(args) -> int:
             unsafe_symbol=args.unsafe_symbol,
             instrument=args.instrument,
             model_name=args.model_name,
+            need_residual=args.residual is not None,
         )
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
@@ -145,10 +146,14 @@ def cmd_verify(args) -> int:
         "events": report["trace"].event_count,
     }
     print(json.dumps(lines, indent=2, default=str))
-    if args.residual:
+    _write_trace(args.trace, report["trace"])
+    if args.residual is not None:
+        if report["residual"] is None:
+            # the budget ran out after the witness, before the pass completed
+            print("note: no residual written: the pass did not complete", file=sys.stderr)
+            return EXIT_UNSAFE
         with open(args.residual, "w", encoding="utf-8") as f:
             f.write(print_program(report["residual"]))
-    _write_trace(args.trace, report["trace"])
     return EXIT_OK if report["safe"] else EXIT_UNSAFE
 
 

@@ -1,6 +1,6 @@
 """The unfold-fold control loop: task queue, transitive skipping, whistle
-consultation, folding, generalization, residual construction and the
-syntactic safety scan."""
+consultation, folding, generalization, residual construction, the
+syntactic safety scan and the counterexample check at each unsafe leaf."""
 
 from __future__ import annotations
 
@@ -45,6 +45,16 @@ from .transform import Incompatible, fold_instance, msg, split_task
 
 
 class BudgetExceeded(Exception):
+    def __init__(self, msg, graph=None, trace=None):
+        super().__init__(msg)
+        self.graph = graph
+        self.trace = trace
+
+
+class CounterexampleFound(Exception):
+    """A completed leaf gave an input that the model confirms unsafe; the
+    pass stops there."""
+
     def __init__(self, msg, graph=None, trace=None):
         super().__init__(msg)
         self.graph = graph
@@ -254,10 +264,17 @@ def _note_generalization(trace: Trace, c1: Configuration, c2: Configuration):
 
 
 class Engine:
-    def __init__(self, prog: Program, limits: Limits, trace: Optional[Trace] = None):
+    def __init__(
+        self,
+        prog: Program,
+        limits: Limits,
+        trace: Optional[Trace] = None,
+        witness: Optional[WitnessSearch] = None,
+    ):
         self.prog = prog
         self.limits = limits
         self.trace = trace or Trace()
+        self.witness = witness
         self.graph = ProcessGraph()
         self.clock = Clock()
         self.pgen = ParamGen()
@@ -383,6 +400,14 @@ class Engine:
             node.value = res.value
             self.trace.emit("Drive", node=node.id, out="passive")
             self._complete(node)
+            if (
+                self.witness is not None
+                and self.witness.check(self.graph, node)
+                and self.witness.stop
+            ):
+                raise CounterexampleFound(
+                    "counterexample confirmed", self.graph, self.trace
+                )
             return
 
         if res.kind == "split":
@@ -634,13 +659,15 @@ def supercompile(
     limits: Optional[Limits] = None,
     trace: Optional[Trace] = None,
     entry_name: str = "Start",
+    witness: Optional[WitnessSearch] = None,
 ):
-    """Drive, fold and residualize one entry configuration."""
+    """Drive, fold and residualize one entry configuration; ``witness``
+    checks each passive leaf as it completes."""
     from .transform import build_residual, simplify_program
 
     limits = limits or Limits()
     trace = trace or Trace()
-    eng = Engine(prog, limits, trace)
+    eng = Engine(prog, limits, trace, witness)
     root_id = eng.run(entry)
     residual = build_residual(eng.graph, root_id, entry_name)
     residual = simplify_program(residual, entry_name)
@@ -713,56 +740,76 @@ def _first_symbol(model: Program, default: Sym) -> Sym:
     return default
 
 
-def find_witness(
-    graph: ProcessGraph,
-    entry_args: tuple,
-    model: Program,
-    entry: str,
-    to_input,
-    unsafe_symbol: str = "False",
-):
-    """Search a pass's process graph for an input on which the *model*
-    answers with the unsafe symbol.
+class WitnessSearch:
+    """The counterexample check of one pass: each passive leaf whose value
+    holds the unsafe symbol gives a candidate input, tried on the *model*
+    when the leaf completes.
 
-    Each live passive node whose value holds the symbol, in node order,
-    gives a candidate: the path substitution applied to ``entry_args``, with
+    The candidate is the path substitution applied to ``entry_args``, with
     each e-parameter left made empty and each s-parameter made the model's
     first pattern symbol. ``to_input`` maps that ground instance to the
     model's arguments (it may raise ``DecodeError``). Every new input is run
-    through ``interp.eval_call`` with ``WITNESS_FUEL`` steps.
+    through ``interp.eval_call`` with ``WITNESS_FUEL`` steps; ``runs`` and
+    ``exhausted`` count the runs and those that ran out of fuel. The first
+    confirmed input is ``found``, from leaf ``node``; no leaf is checked
+    after it. ``stop`` asks the engine to end the pass there.
 
-    Returns ``(arguments or None, interpreter runs, runs out of fuel)``.
+    Checking at completion misses nothing a scan of the finished graph
+    would try: a completed leaf's path to the root and the substitutions on
+    it never change, since a restart or a split kills every node below the
+    node it rewrites.
     """
-    bad = Sym(unsafe_symbol)
-    sym = _first_symbol(model, bad)
-    tried = set()
-    runs = exhausted = 0
-    for node in graph.nodes.values():  # in id order
-        if node.dead or node.kind != "passive" or bad not in iter_items(node.value):
-            continue
-        args = [subst_seq(a, _path_subst(graph, node.id)) for a in entry_args]
+
+    def __init__(
+        self,
+        entry_args: tuple,
+        model: Program,
+        entry: str,
+        to_input,
+        unsafe_symbol: str = "False",
+        stop: bool = True,
+    ):
+        self.entry_args = entry_args
+        self.model = model
+        self.entry = entry
+        self.to_input = to_input
+        self.bad = Sym(unsafe_symbol)
+        self.sym = _first_symbol(model, self.bad)
+        self.stop = stop
+        self.tried: set = set()
+        self.runs = self.exhausted = 0
+        self.found: Optional[tuple] = None
+        self.node: Optional[int] = None
+
+    def check(self, graph: ProcessGraph, node: Node) -> bool:
+        """Try the leaf's candidate; True when the model confirms it."""
+        if self.found is not None or self.bad not in iter_items(node.value):
+            return False
+        sigma = _path_subst(graph, node.id)
+        args = [subst_seq(a, sigma) for a in self.entry_args]
         fill = {
-            p: () if p.kind == "e" else (sym,)
+            p: () if p.kind == "e" else (self.sym,)
             for a in args
             for p in vars_of(a)
             if type(p) is Param
         }
         try:
-            inp = tuple(to_input([subst_seq(a, fill) for a in args]))
+            inp = tuple(self.to_input([subst_seq(a, fill) for a in args]))
         except DecodeError:
-            continue
-        if inp in tried or not all(is_ground(a) for a in inp):
-            continue
-        tried.add(inp)
-        runs += 1
+            return False
+        if inp in self.tried or not all(is_ground(a) for a in inp):
+            return False
+        self.tried.add(inp)
+        self.runs += 1
         try:
-            out = eval_call(model, entry, inp, WITNESS_FUEL)
+            out = eval_call(self.model, self.entry, inp, WITNESS_FUEL)
         except FuelExhausted:
-            exhausted += 1
-            continue
-        if out is not UNDEFINED and bad in iter_items(out):
-            return inp, runs, exhausted
-    return None, runs, exhausted
+            self.exhausted += 1
+            return False
+        if out is UNDEFINED or self.bad not in iter_items(out):
+            return False
+        self.found, self.node = inp, node.id
+        return True
 
 
 def _check_defined(prog: Program, fname: str) -> None:
@@ -821,12 +868,17 @@ def verify_protocol(
     unsafe_symbol: str = "False",
     instrument: bool = False,
     model_name: str = "Model",
+    need_residual: bool = False,
 ):
     """Run the whole verification pipeline and report the verdict.
 
-    A pass whose residual holds the unsafe symbol is searched for a
-    counterexample (``find_witness``); a confirmed one is the report's
-    ``witness`` and ends the run. One trace covers every pass.
+    Each pass checks its unsafe leaves as they complete
+    (``WitnessSearch``). A confirmed input is the report's ``witness`` and
+    ends the run; it stops the pass at once, and ``residual`` stays the
+    last completed pass's (None in pass 1). With ``need_residual`` the pass
+    goes on to complete and build its residual, since a residual can only
+    come from a completed pass; a budget exit after the witness still
+    reports it, with no residual. One trace covers every pass.
     """
     from .corpus import int_entry_args, self_interpreter
 
@@ -836,6 +888,7 @@ def verify_protocol(
         "mode": mode,
         "passes": [],
         "safe": None,
+        "residual": None,
         "violations": [],
         "warnings": [],
     }
@@ -860,24 +913,39 @@ def verify_protocol(
             trace.instrument = False
             trace.emit("Pass", **{"pass": p_i + 1})
         counted = (trace.msg_checked, trace.fold_checked, trace.transitive_steps)
-        residual, graph, trace = supercompile(
-            current, entry_cfg, limits, trace, entry_name=f"{entry_fn}Res"
+        search = WitnessSearch(
+            entry_cfg.stack[0].args, model, entry, _input_reader(mode, p_i),
+            unsafe_symbol, stop=not need_residual,
         )
-        verdict = verify_safety(residual, unsafe_symbol)
-        witness, runs, exhausted = None, 0, 0
-        if not verdict.safe:
-            witness, runs, exhausted = find_witness(
-                graph, entry_cfg.stack[0].args, model, entry,
-                _input_reader(mode, p_i), unsafe_symbol,
+        try:
+            residual, graph, trace = supercompile(
+                current, entry_cfg, limits, trace,
+                entry_name=f"{entry_fn}Res", witness=search,
             )
+        except CounterexampleFound as e:
+            residual, graph = None, e.graph
+        except BudgetExceeded as e:
+            if search.found is None:
+                raise
+            # the witness stands, but this pass leaves no residual
+            residual, graph = None, e.graph
+            report["residual"] = None
+        witness = search.found
+        if residual is None:
+            safe, scan = False, []
+        else:
+            verdict = verify_safety(residual, unsafe_symbol)
+            safe, scan = verdict.safe and witness is None, verdict.witnesses
+            report["residual"] = residual
         report["passes"].append(
             {
                 "pass": p_i + 1,
-                "safe": verdict.safe,
-                "witnesses": verdict.witnesses,
-                "witness_candidates": runs,
-                "witness_fuel_exhausted": exhausted,
-                "functions": len(residual.defs),
+                "safe": safe,
+                "witnesses": scan,
+                "witness_candidates": search.runs,
+                "witness_fuel_exhausted": search.exhausted,
+                "witness_node": search.node,
+                "functions": 0 if residual is None else len(residual.defs),
                 "nodes": graph.stats()["nodes"],
                 "msg_checked": trace.msg_checked - counted[0],
                 "fold_checked": trace.fold_checked - counted[1],
@@ -885,12 +953,11 @@ def verify_protocol(
                 "seconds": round(time.monotonic() - t0, 3),
             }
         )
-        report["safe"] = verdict.safe
-        report["residual"] = residual
+        report["safe"] = safe
         report["witness"] = witness and ", ".join(print_seq(a) for a in witness)
         # a confirmed counterexample is final: later passes only remove
         # spurious unsafe occurrences
-        if verdict.safe or witness or p_i + 1 >= passes:
+        if safe or witness or p_i + 1 >= passes:
             break
         current = residual
         entry_cfg = make_entry_config(residual, f"{entry_fn}Res")

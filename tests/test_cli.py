@@ -193,7 +193,22 @@ def test_verify_unsafe_two_passes_prints_the_witness(mutant_file, capsys):
     assert rc == 3
     rep = json.loads(capsys.readouterr().out)
     assert rep["safe"] is False and rep["passes_used"] == 1
-    assert rep["witness"] == "(wm rm wm) (I)"
+    assert rep["witness"] == "(rm wm) (I)"
+    assert rep["passes"][0]["nodes"] < 90
+
+
+def test_verify_residual_after_a_witness_needs_a_completed_pass(tmp_path, capsys):
+    from test_engine import GEN15_SPEC
+
+    spec, res = tmp_path / "gen15.spec", tmp_path / "res.l"
+    spec.write_text(GEN15_SPEC)
+    rc = main(["verify", str(spec), "--residual", str(res), "--max-nodes", "1000"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rep["safe"] is False and rep["witness"] == "(upgrade rm) (I I)"
+    assert "note: no residual written: the pass did not complete" in captured.err
+    assert not res.exists()
 
 
 # sha256 of the trace files that `verify --mode indirect --trace` wrote on

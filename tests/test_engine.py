@@ -11,6 +11,7 @@ from scpv.engine import (
     BudgetExceeded,
     Limits,
     Trace,
+    WitnessSearch,
     make_entry_config,
     parse_entry_config,
     supercompile,
@@ -356,8 +357,10 @@ def test_unsafe_two_passes_stop_at_the_witness():
     assert rep["safe"] is False
     assert rep["passes_used"] == 1
     assert rep["passes"][0]["witness_candidates"] >= 1
-    assert rep["witness"] == "(wm rm wm) (I)"
+    assert rep["witness"] == "(rm wm) (I)"
     assert eval_call(mut, "Main", [parse_expr(rep["witness"])]) == (Sym("False"),)
+    # the pass stops at the confirming leaf; the completed pass has 90 nodes
+    assert rep["passes"][0]["nodes"] < 90
 
 
 @pytest.mark.parametrize("mode", ["direct", "indirect"])
@@ -375,7 +378,6 @@ def test_safe_models_have_no_witness(name, mode):
 
 def test_witness_through_a_generalization():
     from scpv.corpus import generate_model, parse_protocol_spec
-    from scpv.engine import find_witness
 
     model = generate_model(parse_protocol_spec(GEN39_SPEC))
     entry = make_entry_config(model, "Main")
@@ -394,11 +396,12 @@ def test_witness_through_a_generalization():
         return True
 
     assert all(generalized_above(n) for n in leaves)
-    found, runs, exhausted = find_witness(
-        graph, entry.stack[0].args, model, "Main", lambda args: args
-    )
+    search = WitnessSearch(entry.stack[0].args, model, "Main", lambda args: args)
+    confirmed = [n.id for n in leaves if search.check(graph, n)]
+    found = search.found
     assert found == (parse_expr("(inv put put) (I)"),)
-    assert runs >= 1 and exhausted == 0
+    assert confirmed == [search.node]
+    assert search.runs >= 1 and search.exhausted == 0
     assert eval_call(model, "Main", found) == (Sym("False"),)
     rep = verify_protocol(model, mode="direct", passes=1, limits=Limits(max_nodes=1_000))
     assert rep["witness"] == "(inv put put) (I)"
@@ -415,8 +418,13 @@ def test_stopped_report_keeps_the_benchmark_keys():
     assert rep["passes_used"] == len(rep["passes"]) == 1
     for p in rep["passes"]:
         assert isinstance(p["nodes"], int) and isinstance(p["functions"], int)
-    assert isinstance(rep["residual"], Program)
-    assert "MainRes" in rep["residual"].defs
+    # the pass stopped at the witness, so no pass completed
+    assert rep["residual"] is None
+    whole = verify_protocol(
+        synapse_unsafe_mutant(), mode="direct", passes=2, need_residual=True
+    )
+    assert isinstance(whole["residual"], Program)
+    assert "MainRes" in whole["residual"].defs
 
 
 def test_budget_exit_in_a_later_pass_keeps_earlier_events(syn, monkeypatch):
@@ -437,3 +445,110 @@ def test_budget_exit_in_a_later_pass_keeps_earlier_events(syn, monkeypatch):
     assert events[: len(one)] == one
     assert events[len(one)] == {"v": 1, "ev": "Pass", "pass": 2}
     assert len(events) > len(one) + 1
+
+
+# the 16th and 21st of `python3 perfbench/specgen.py --seed 3 --count 40
+# --names-seed 1` (specs 15 and 20 of the direct-sweep workload at seed 1)
+GEN15_SPEC = """\
+protocol gen3x15
+counter shared init param
+counter owned init zero
+counter exclusive init zero
+event wm
+  guard owned >= 1
+  update shared := shared + 1 + owned
+  update owned := 0
+event upgrade
+  guard shared >= 1
+  update shared := shared + owned
+  update owned := 0
+  update exclusive := exclusive + 1
+event ack
+  guard owned >= 1
+  update shared := shared + 1 + exclusive
+  update owned := owned
+  update exclusive := 0
+event rm
+  guard shared >= 2
+  update shared := shared + 1
+  update owned := owned + 1
+unsafe exclusive >= 1, owned >= 1
+"""
+
+GEN20_SPEC = """\
+protocol gen3x20
+counter dirty init param
+counter pending init zero
+counter shared init zero
+event rh
+  guard shared >= 1
+  update dirty := dirty + shared
+  update pending := pending + 1
+  update shared := 0
+event ack
+  guard shared >= 1
+  update pending := pending + 1
+  update shared := shared
+event fetch
+  guard pending >= 1
+  update pending := pending
+  update shared := shared + 1
+event evict
+  guard pending >= 1
+  update pending := pending
+  update shared := shared + 1
+event wm
+  guard dirty >= 1
+  update dirty := dirty
+  update pending := pending + 1
+event put
+  guard dirty >= 1
+  update dirty := dirty
+  update pending := pending + 1
+unsafe pending >= 2
+unsafe shared >= 1, pending >= 1
+unsafe pending >= 1, shared >= 1
+"""
+
+
+def _spec_model(text):
+    from scpv.corpus import generate_model, parse_protocol_spec
+
+    return generate_model(parse_protocol_spec(text))
+
+
+def test_witness_stops_a_pass_before_its_node_cap():
+    # the whole pass runs past 1,000 nodes; its first False leaf confirms
+    model = _spec_model(GEN15_SPEC)
+    with pytest.raises(BudgetExceeded):
+        supercompile(model, make_entry_config(model, "Main"), Limits(max_nodes=1_000))
+    rep = verify_protocol(model, mode="direct", passes=1, limits=Limits(max_nodes=1_000))
+    assert rep["safe"] is False
+    assert rep["witness"] == "(upgrade rm) (I I)"
+    assert eval_call(model, "Main", [parse_expr(rep["witness"])]) == (Sym("False"),)
+    (p,) = rep["passes"]
+    assert p["nodes"] < 100 and p["functions"] == 0 and p["witnesses"] == []
+    assert p["witness_node"] is not None and rep["residual"] is None
+
+
+def test_witness_from_a_leaf_a_generalization_later_kills():
+    model = _spec_model(GEN20_SPEC)
+    entry = make_entry_config(model, "Main")
+    search = WitnessSearch(entry.stack[0].args, model, "Main", lambda args: args, stop=False)
+    _, graph, _ = supercompile(model, entry, Limits(max_nodes=1_000), witness=search)
+    # a scan of the finished graph could not see the confirming leaf
+    assert graph.node(search.node).dead
+    rep = verify_protocol(model, mode="direct", passes=1, limits=Limits(max_nodes=1_000))
+    assert rep["witness"] == "(wm fetch wm) (I)"
+    assert rep["passes"][0]["witness_node"] == search.node
+    assert eval_call(model, "Main", [parse_expr(rep["witness"])]) == (Sym("False"),)
+
+
+def test_need_residual_completes_the_pass_after_the_witness():
+    from scpv.lang import Program
+
+    rep = verify_protocol(synapse_unsafe_mutant(), mode="direct", passes=1, need_residual=True)
+    assert rep["safe"] is False and rep["witness"] == "(rm wm) (I)"
+    (p,) = rep["passes"]
+    assert p["nodes"] == 90 and p["functions"] > 0
+    assert isinstance(rep["residual"], Program) and "MainRes" in rep["residual"].defs

@@ -71,7 +71,9 @@ class Configuration:
 
 
 def check_config(c: Configuration) -> None:
-    """Assert the bullet and time-label invariants; used in tests and debug."""
+    """Assert the bullet and time-label invariants, and that an empty stack
+    sits over a call-free tail (``decompose`` stacks every reachable call);
+    used in tests and debug."""
     times = [e.time for e in c.stack]
     assert len(set(times)) == len(times), f"duplicate time labels in {c!r}"
     for i, e in enumerate(c.stack):
@@ -80,6 +82,8 @@ def check_config(c: Configuration) -> None:
         assert n == want, f"entry {i} of {c!r} has {n} bullets"
     if c.stack:
         assert bullet_count(c.tail) == 1, f"tail of {c!r} must hold one bullet"
+    else:
+        assert not contains_call(c.tail), f"empty stack over a call in {c!r}"
 
 
 # ---------------------------------------------------------------------------

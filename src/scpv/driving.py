@@ -56,11 +56,9 @@ class Branch:
 
 @dataclass(frozen=True)
 class StepResult:
-    kind: str  # 'branches' | 'passive' | 'split'
+    kind: str  # 'branches' | 'passive'
     branches: tuple = ()
     value: Seq = ()
-    primary: Optional[Configuration] = None
-    deferred: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +264,9 @@ def _fire_successor(config: Configuration, theta: dict, rule: tuple, env: dict,
 
 def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
           warn=None) -> StepResult:
-    """One driving step of the topmost stack entry."""
+    """One driving step of the topmost stack entry; an empty stack is a
+    passive value, its tail holds no call (``check_config``)."""
     if not config.stack:
-        if contains_call(config.tail):
-            primary, deferred = decompose(config.tail, clock, pgen)
-            return StepResult("split", primary=primary, deferred=tuple(deferred))
         return StepResult("passive", value=config.tail)
 
     top = config.stack[0]

@@ -410,10 +410,6 @@ class Engine:
                 )
             return
 
-        if res.kind == "split":
-            self._make_letsplit(node, res.primary, res.deferred)
-            return
-
         # eager folding: path ancestors and completed nodes
         target = self._find_fold(node)
         if target is not None:

@@ -1,7 +1,7 @@
 """Core syntax for the object language: flat expression sequences, programs,
-parsing, printing and validation, plus the two tree operations the rest of
-the package builds on: the item rebuilder ``map_items`` and the instance
-matcher ``inst_seq``.
+parsing, printing and validation, plus the tree operations the rest of the
+package builds on: the item rebuilders ``map_items`` (leaves) and
+``map_calls`` (calls), and the instance matcher ``inst_seq``.
 
 Expressions are kept in concatenation-normal form throughout: an expression
 is a tuple of items, `[]` is the empty tuple, `:` and `++` both concatenate.
@@ -244,6 +244,21 @@ def map_items(seq: Seq, mask: int, leaf) -> Seq:
             out.append(Call(it.fname, tuple(map_items(a, mask, leaf) for a in it.args)))
         else:
             out.extend(leaf(it))
+    return tuple(out)
+
+
+def map_calls(seq: Seq, call) -> Seq:
+    """seq rebuilt bottom-up: each call's arguments are rebuilt first, then
+    the call is replaced by the sequence ``call(c)``; parens and calls that
+    hold no call are kept without being entered."""
+    out = []
+    for it in seq:
+        if not it.flags & HAS_CALL:
+            out.append(it)
+        elif type(it) is Paren:
+            out.append(Paren(map_calls(it.items, call)))
+        else:
+            out.extend(call(Call(it.fname, tuple(map_calls(a, call) for a in it.args))))
     return tuple(out)
 
 

@@ -35,6 +35,7 @@ from .lang import (
     inst_seq,
     is_sym_kind,
     iter_items,
+    map_calls,
     map_items,
     vars_of,
 )
@@ -260,9 +261,6 @@ class _Emitter:
             return self.call_expr(nid, node.entry_subst)
         if node.kind == "passive":
             return node.value
-        if node.kind == "stuck":
-            self.need_undef = True
-            return (Call(UNDEF_NAME, ((),)),)
         if node.kind == "fold":
             return self.call_expr(node.fold_target, node.fold_theta)
         if node.kind == "letsplit":
@@ -351,6 +349,9 @@ def build_residual(graph, entry_id: int, entry_name: str) -> Program:
 # ---------------------------------------------------------------------------
 # Residual cleanup: the simplified global analysis
 
+SIMPLIFY_ROUNDS = 12  # rounds of inlining, merging and dead-code removal
+INLINE_BUDGET = 10_000  # forwarder expansions per round
+
 
 def _rule_subsumed(early: Rule, late: Rule) -> bool:
     """True when late's patterns are an instance of early's, so that early
@@ -378,126 +379,90 @@ def _subst_vars_seq(seq: Seq, env: dict) -> Seq:
     return map_items(seq, HAS_VAR, lambda v: env.get(v, (v,)))
 
 
-def _inline_calls(seq: Seq, inlinable: dict, budget: list) -> Seq:
-    out = []
-    for it in seq:
-        if isinstance(it, Paren):
-            out.append(Paren(_inline_calls(it.items, inlinable, budget)))
-            continue
-        if not isinstance(it, Call):
-            out.append(it)
-            continue
-        args = tuple(_inline_calls(a, inlinable, budget) for a in it.args)
-        rule = inlinable.get(it.fname)
-        if rule is not None and budget[0] > 0:
-            env = {}
-            ok = True
-            for pat, arg in zip(rule.lhs, args):
-                if len(pat) == 1 and isinstance(pat[0], Var):
-                    v = pat[0]
-                    if v.kind == "e":
-                        env[v] = arg
-                    elif len(arg) == 1 and is_sym_kind(arg[0]):
-                        env[v] = arg
-                    else:
-                        ok = False
-                        break
-                elif pat == () and arg == ():
-                    continue
-                else:
-                    ok = False
-                    break
-            if ok:
-                budget[0] -= 1
-                out.extend(_inline_calls(_subst_vars_seq(rule.rhs, env), inlinable, budget))
-                continue
-        out.append(Call(it.fname, args))
-    return tuple(out)
+def _forward_env(rule: Rule, args: tuple) -> Optional[dict]:
+    """The bindings under which a forwarder's patterns, each empty or one
+    bare variable, match args; None when an s-variable meets anything but
+    one symbol-kind item, or an empty pattern a non-empty argument."""
+    env = {}
+    for pat, arg in zip(rule.lhs, args):
+        if not pat:
+            if arg:
+                return None
+        elif pat[0].kind == "e" or (len(arg) == 1 and is_sym_kind(arg[0])):
+            env[pat[0]] = arg
+        else:
+            return None
+    return env
 
 
-def _canonical_def(d: FuncDef) -> tuple:
-    """Shape of a definition with variables numbered by first occurrence."""
+def _inline(call: Call, inlinable: dict, budget: list, expanding: tuple) -> Seq:
+    """The expansion of a call of a forwarder, itself inlined. A call of a
+    function in ``expanding``, whose body or expansion this is, is kept, so
+    that forwarder cycles end."""
+    rule = inlinable.get(call.fname)
+    if rule is None or budget[0] <= 0 or call.fname in expanding:
+        return (call,)
+    env = _forward_env(rule, call.args)
+    if env is None:
+        return (call,)
+    budget[0] -= 1
+    inner = expanding + (call.fname,)
+    return map_calls(
+        _subst_vars_seq(rule.rhs, env), lambda c: _inline(c, inlinable, budget, inner)
+    )
+
+
+def _canonical_def(d: FuncDef) -> FuncDef:
+    """d without its name and with its variables numbered by first
+    occurrence: definitions with equal shapes are merged."""
     names: dict = {}
 
+    def number(v):
+        if v not in names:
+            names[v] = Var(v.kind, str(len(names)))
+        return (names[v],)
+
     def canon(seq):
-        out = []
-        for it in seq:
-            if isinstance(it, Var):
-                key = ("v", it)
-                if key not in names:
-                    names[key] = len(names)
-                out.append((it.kind, names[key]))
-            elif isinstance(it, Paren):
-                out.append(("p", canon(it.items)))
-            elif isinstance(it, Call):
-                out.append(("c", it.fname, tuple(canon(a) for a in it.args)))
-            else:
-                out.append(it)
-        return tuple(out)
+        return map_items(seq, HAS_VAR, number)
 
-    body = []
-    for r in d.rules:
-        body.append((tuple(canon(p) for p in r.lhs), canon(r.rhs)))
-    return (d.arity, tuple(body))
+    return FuncDef(
+        "", d.arity, tuple(Rule(tuple(map(canon, r.lhs)), canon(r.rhs)) for r in d.rules)
+    )
 
 
-def _rename_calls(seq: Seq, mapping: dict) -> Seq:
-    out = []
-    for it in seq:
-        if isinstance(it, Paren):
-            out.append(Paren(_rename_calls(it.items, mapping)))
-        elif isinstance(it, Call):
-            out.append(
-                Call(
-                    mapping.get(it.fname, it.fname),
-                    tuple(_rename_calls(a, mapping) for a in it.args),
-                )
-            )
-        else:
-            out.append(it)
-    return tuple(out)
+def _is_forwarder(d: FuncDef) -> bool:
+    """One rule whose patterns are empty or distinct bare variables: a
+    transitive chain, inlined at every call site."""
+    if len(d.rules) != 1:
+        return False
+    bound = [p for p in d.rules[0].lhs if p]
+    bare = {p[0] for p in bound if len(p) == 1 and type(p[0]) is Var}
+    return len(bare) == len(bound)
 
 
-def simplify_program(prog: Program, entry: str, rounds: int = 12) -> Program:
+def _map_bodies(d: FuncDef, call) -> FuncDef:
+    return FuncDef(
+        d.name, d.arity, tuple(Rule(r.lhs, map_calls(r.rhs, call)) for r in d.rules)
+    )
+
+
+def simplify_program(prog: Program, entry: str) -> Program:
     """Dead-code removal plus inlining of pattern-free forwarder functions
     and merging of structurally identical definitions."""
     defs = {d.name: _drop_dead_rules(d) for d in prog.defs.values()}
-    for _ in range(rounds):
-        changed = False
-        # single-rule functions whose patterns are fresh bare variables are
-        # transitive chains: inline them at every call site
-        inlinable = {}
-        for d in defs.values():
-            if d.name == entry or len(d.rules) != 1:
-                continue
-            r = d.rules[0]
-            seen = set()
-            ok = True
-            for pat in r.lhs:
-                if pat == ():
-                    continue
-                if (
-                    len(pat) != 1
-                    or not isinstance(pat[0], Var)
-                    or pat[0] in seen
-                ):
-                    ok = False
-                    break
-                seen.add(pat[0])
-            if ok:
-                inlinable[d.name] = r
+    for _ in range(SIMPLIFY_ROUNDS):
+        old = defs
+        inlinable = {
+            d.name: d.rules[0]
+            for d in defs.values()
+            if d.name != entry and _is_forwarder(d)
+        }
         if inlinable:
-            budget = [10_000]
-            new_defs = {}
-            for d in defs.values():
-                rules = tuple(
-                    Rule(r.lhs, _inline_calls(r.rhs, inlinable, budget))
-                    for r in d.rules
-                )
-                if rules != d.rules:
-                    changed = True
-                new_defs[d.name] = FuncDef(d.name, d.arity, rules)
-            defs = new_defs
+            budget = [INLINE_BUDGET]
+            defs = {
+                n: _map_bodies(d, lambda c: _inline(c, inlinable, budget, (n,)))
+                for n, d in defs.items()
+            }
         # merge structurally identical definitions
         canon_map: dict = {}
         rename: dict = {}
@@ -507,7 +472,6 @@ def simplify_program(prog: Program, entry: str, rounds: int = 12) -> Program:
             key = _canonical_def(d)
             if key in canon_map:
                 rename[d.name] = canon_map[key]
-                changed = True
             else:
                 canon_map[key] = d.name
         if rename:
@@ -518,16 +482,9 @@ def simplify_program(prog: Program, entry: str, rounds: int = 12) -> Program:
                 return n
 
             defs = {
-                d.name: FuncDef(
-                    d.name,
-                    d.arity,
-                    tuple(
-                        Rule(r.lhs, _rename_calls(r.rhs, {k: resolve(k) for k in rename}))
-                        for r in d.rules
-                    ),
-                )
-                for d in defs.values()
-                if d.name not in rename
+                n: _map_bodies(d, lambda c: (Call(resolve(c.fname), c.args),))
+                for n, d in defs.items()
+                if n not in rename
             }
         # dead-code: keep what the entry reaches
         reachable = {entry}
@@ -541,9 +498,7 @@ def simplify_program(prog: Program, entry: str, rounds: int = 12) -> Program:
                     if isinstance(it, Call) and it.fname not in reachable:
                         reachable.add(it.fname)
                         work.append(it.fname)
-        if len(reachable & set(defs)) != len(defs):
-            defs = {n: d for n, d in defs.items() if n in reachable}
-            changed = True
-        if not changed:
+        defs = {n: d for n, d in defs.items() if n in reachable}
+        if defs == old:
             break
     return Program(defs.values())

@@ -13,6 +13,10 @@ in place and decide parameter-free pattern items by equality, and are
 checked against them. The reference rule-subsumption matcher is the
 recursive variable matcher that residual cleanup used before folding and
 subsumption shared ``lang.inst_seq``.
+
+The residual cleanup references are the call walkers that forwarder
+inlining, the rename after merging and the definition key used before they
+were built on ``lang.map_calls`` and ``lang.map_items``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from scpv.lang import (
     iter_items,
 )
 from scpv.interp import eval_seq, match_seq  # noqa: used by helpers below
+from scpv.transform import _subst_vars_seq
 
 
 def _sym_kind(it) -> bool:
@@ -491,8 +496,6 @@ def is_transitive(config: Configuration, prog: Program) -> bool:
     res = drive(config, prog, Clock(10**9), ParamGen(10**9))
     if res.kind == "passive":
         return False
-    if res.kind == "split":
-        return True
     if len(res.branches) != 1:
         return False
     b = res.branches[0]
@@ -597,6 +600,94 @@ def ref_pattern_instance(general: Seq, specific: Seq, th: dict):
             return None
         return ref_pattern_instance(rest, specific[1:], got)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Residual cleanup references
+
+
+def ref_inline_calls(seq: Seq, inlinable: dict, budget: list) -> Seq:
+    """Forwarder inlining; ``inlinable`` maps a name to its one rule, and
+    must hold no cycle, since this walker does not stop one."""
+    out = []
+    for it in seq:
+        if isinstance(it, Paren):
+            out.append(Paren(ref_inline_calls(it.items, inlinable, budget)))
+            continue
+        if not isinstance(it, Call):
+            out.append(it)
+            continue
+        args = tuple(ref_inline_calls(a, inlinable, budget) for a in it.args)
+        rule = inlinable.get(it.fname)
+        if rule is not None and budget[0] > 0:
+            env = {}
+            ok = True
+            for pat, arg in zip(rule.lhs, args):
+                if len(pat) == 1 and isinstance(pat[0], Var):
+                    v = pat[0]
+                    if v.kind == "e":
+                        env[v] = arg
+                    elif len(arg) == 1 and _sym_kind(arg[0]):
+                        env[v] = arg
+                    else:
+                        ok = False
+                        break
+                elif pat == () and arg == ():
+                    continue
+                else:
+                    ok = False
+                    break
+            if ok:
+                budget[0] -= 1
+                out.extend(
+                    ref_inline_calls(_subst_vars_seq(rule.rhs, env), inlinable, budget)
+                )
+                continue
+        out.append(Call(it.fname, args))
+    return tuple(out)
+
+
+def ref_canonical_def(d: FuncDef) -> tuple:
+    """Shape of a definition with variables numbered by first occurrence."""
+    names: dict = {}
+
+    def canon(seq):
+        out = []
+        for it in seq:
+            if isinstance(it, Var):
+                key = ("v", it)
+                if key not in names:
+                    names[key] = len(names)
+                out.append((it.kind, names[key]))
+            elif isinstance(it, Paren):
+                out.append(("p", canon(it.items)))
+            elif isinstance(it, Call):
+                out.append(("c", it.fname, tuple(canon(a) for a in it.args)))
+            else:
+                out.append(it)
+        return tuple(out)
+
+    body = []
+    for r in d.rules:
+        body.append((tuple(canon(p) for p in r.lhs), canon(r.rhs)))
+    return (d.arity, tuple(body))
+
+
+def ref_rename_calls(seq: Seq, mapping: dict) -> Seq:
+    out = []
+    for it in seq:
+        if isinstance(it, Paren):
+            out.append(Paren(ref_rename_calls(it.items, mapping)))
+        elif isinstance(it, Call):
+            out.append(
+                Call(
+                    mapping.get(it.fname, it.fname),
+                    tuple(ref_rename_calls(a, mapping) for a in it.args),
+                )
+            )
+        else:
+            out.append(it)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

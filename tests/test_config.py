@@ -174,3 +174,10 @@ def test_check_config_rejects_bad_bullets():
     )
     with pytest.raises(AssertionError):
         check_config(bad)
+
+
+def test_check_config_rejects_a_call_under_an_empty_stack():
+    # decompose stacks every reachable call, so driving never sees one here
+    check_config(Configuration((), parse_expr("'a' ('b')")))
+    with pytest.raises(AssertionError):
+        check_config(Configuration((), parse_expr("'a' (F('b'))")))

@@ -1,7 +1,8 @@
 """Structure flags on items, and the walkers that skip subtrees by them.
 
 Every fast walker is checked against the naive full traversal in
-``oracles.py`` on random item trees.
+``oracles.py`` on random item trees, and residual cleanup's call rewriter
+against the walkers it replaced on random residual code.
 """
 
 import pytest
@@ -17,6 +18,9 @@ from oracles import (
     naive_split_leftmost_call,
     naive_subst_seq,
     naive_subst_vars,
+    ref_canonical_def,
+    ref_inline_calls,
+    ref_rename_calls,
 )
 from scpv.config import _split_leftmost_call, replace_bullet, subst_seq
 from scpv.driving import _subst_vars
@@ -28,19 +32,29 @@ from scpv.lang import (
     HAS_VAR,
     Bullet,
     Call,
+    FuncDef,
     Paren,
     Param,
+    Rule,
     Sym,
     Var,
     bullet_count,
     contains_call,
     is_ground,
     iter_items,
+    map_calls,
     parse_expr,
     parse_program,
 )
 from scpv.engine import parse_entry_config
-from scpv.transform import IncompleteGraph, _render_seq, _subst_vars_seq
+from scpv.transform import (
+    INLINE_BUDGET,
+    IncompleteGraph,
+    _canonical_def,
+    _inline,
+    _render_seq,
+    _subst_vars_seq,
+)
 
 S1, E2, E3 = Param("s", 1), Param("e", 2), Param("e", 3)
 SX, EY, SZ = Var("s", "x"), Var("e", "y"), Var("s", "z")
@@ -208,3 +222,126 @@ def test_entry_parameters_numbered_by_first_occurrence():
     cfg = parse_entry_config(prog, "F((s.b e.a), (e.a) s.c s.b)")
     s1, e2, s3 = Param("s", 1), Param("e", 2), Param("s", 3)
     assert cfg.stack[0].args == ((Paren((s1, e2)),), (Paren((e2,)), s3, s1))
+
+
+# ---------------------------------------------------------------------------
+# Residual cleanup: map_calls against the walkers it replaced
+
+# residual code holds symbols, variables, parens and calls of fixed arity
+ARITY = {"F": 1, "G": 2, "H": 1, "K": 2}
+SW, EV = Var("s", "w"), Var("e", "v")
+DEF_VARS = (SX, SZ, SW, EY, EV)
+
+
+def residual_seqs(names, leaves=(Sym("I"), Sym("a", char=True), SX, EY, SZ), size=16):
+    """Residual-shaped sequences that call only the functions in names."""
+
+    def call(kids):
+        def build(f):
+            arg = st.lists(kids, max_size=3).map(tuple)
+            return st.lists(arg, min_size=ARITY[f], max_size=ARITY[f]).map(
+                lambda args: Call(f, tuple(args))
+            )
+
+        return st.sampled_from(names).flatmap(build)
+
+    items = st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4).map(lambda xs: Paren(tuple(xs))), call(kids)
+        ),
+        max_leaves=size,
+    )
+    return st.lists(items, max_size=5).map(tuple)
+
+
+def forwarder(name, callees):
+    """The one rule of a forwarder: each pattern empty or a fresh variable."""
+    pats = st.lists(
+        st.sampled_from(((), (SX,), (EY,), (SZ,))),
+        min_size=ARITY[name],
+        max_size=ARITY[name],
+        unique_by=lambda p: p or object(),  # empty patterns may repeat
+    )
+    return st.builds(Rule, pats.map(tuple), residual_seqs(callees))
+
+
+# F may call G and H, G may call H, H calls neither: the reference inliner
+# cannot stop a cycle
+inlinables = st.fixed_dictionaries(
+    {},
+    optional={
+        "F": forwarder("F", ("G", "H", "K")),
+        "G": forwarder("G", ("H", "K")),
+        "H": forwarder("H", ("K",)),
+    },
+)
+budgets = st.one_of(st.integers(0, 4), st.just(INLINE_BUDGET))
+
+
+@walker_settings
+@given(residual_seqs(tuple(ARITY)), inlinables, budgets)
+def test_inlining_agrees_with_reference(seq, inlinable, budget):
+    got_budget, want_budget = [budget], [budget]
+    got = map_calls(seq, lambda c: _inline(c, inlinable, got_budget, ()))
+    assert got == ref_inline_calls(seq, inlinable, want_budget)
+    assert got_budget == want_budget
+    assert flags_sound(got)
+
+
+@walker_settings
+@given(
+    residual_seqs(tuple(ARITY)),
+    st.dictionaries(st.sampled_from(tuple(ARITY)), st.sampled_from(tuple(ARITY))),
+)
+def test_renaming_agrees_with_reference(seq, mapping):
+    got = map_calls(seq, lambda c: (Call(mapping.get(c.fname, c.fname), c.args),))
+    assert got == ref_rename_calls(seq, mapping)
+    assert flags_sound(got)
+
+
+def definitions(name):
+    small = residual_seqs(("F", "K"), (Sym("I"),) + DEF_VARS, size=5)
+    return st.integers(1, 2).flatmap(
+        lambda n: st.lists(
+            st.builds(Rule, st.lists(small, min_size=n, max_size=n).map(tuple), small),
+            min_size=1,
+            max_size=2,
+        ).map(lambda rules: FuncDef(name, n, tuple(rules)))
+    )
+
+
+def renamed(d):
+    """d with its variables renamed, not always one to one nor to a
+    variable of the same kind."""
+    same_kind = {v: tuple(w for w in DEF_VARS if w.kind == v.kind) for v in DEF_VARS}
+    env = st.fixed_dictionaries(
+        {
+            v: st.sampled_from(same_kind[v] * 3 + DEF_VARS).map(lambda w: (w,))
+            for v in DEF_VARS
+        }
+    )
+
+    def apply(env):
+        def rn(seq):
+            return _subst_vars_seq(seq, env)
+
+        rules = tuple(Rule(tuple(map(rn, r.lhs)), rn(r.rhs)) for r in d.rules)
+        return FuncDef("E", d.arity, rules)
+
+    return env.map(apply)
+
+
+definition_pairs = definitions("D").flatmap(
+    lambda d: st.tuples(st.just(d), st.one_of(definitions("E"), renamed(d)))
+)
+
+
+@walker_settings
+@given(definition_pairs)
+def test_canonical_keys_agree_with_reference(pair):
+    d1, d2 = pair
+    k1, k2 = _canonical_def(d1), _canonical_def(d2)
+    assert (k1 == k2) == (ref_canonical_def(d1) == ref_canonical_def(d2))
+    if k1 == k2:
+        assert hash(k1) == hash(k2)

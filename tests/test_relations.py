@@ -326,9 +326,6 @@ def test_well_disordering_budget_on_corpus_paths():
         if res.kind == "passive":
             paths_done += 1
             continue
-        if res.kind == "split":
-            work.append((res.primary, [], depth + 1))
-            continue
         live = [b for b in res.branches if b.tag != "stuck"]
         if not live:
             paths_done += 1

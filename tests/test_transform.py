@@ -3,12 +3,24 @@ import random
 import pytest
 
 from scpv.config import Configuration, ParamGen, TimedApp, subst_config
-from scpv.lang import BULLET, Call, Paren, Param, Sym, parse_expr
+from scpv.lang import (
+    BULLET,
+    Call,
+    Paren,
+    Param,
+    Sym,
+    iter_items,
+    parse_expr,
+    parse_program,
+    validate_program,
+)
 from scpv.transform import (
+    SIMPLIFY_ROUNDS,
     Incompatible,
     fold_instance,
     msg,
     msg_seq,
+    simplify_program,
     split_task,
 )
 
@@ -178,3 +190,32 @@ def test_msg_equations_random():
                 (e.fname, e.args) for e in target.stack
             ]
             assert applied.tail == target.tail
+
+
+def test_simplify_inlines_a_forwarder_chain():
+    prog = parse_program(
+        "Main { e.x => F(A e.x); } F { e.x => G(e.x B); } G { s.y e.z => e.z; }"
+    )
+    out = simplify_program(prog, "Main")
+    assert list(out.defs) == ["Main", "G"]
+    assert out.defs["Main"].rules[0].rhs == parse_expr("G(A e.x B)")
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "Main { e.x => G(e.x); } G { e.x => G(e.x); }",
+        "Main { e.x => H(e.x); } H { e.x => K(A e.x); } K { e.x => H(e.x B); }",
+    ],
+    ids=["self", "two"],
+)
+def test_simplify_ends_on_forwarder_cycles(src):
+    # a forwarder is never inlined inside its own body or expansion, so a
+    # cycle of forwarders unrolls at most once a round
+    out = simplify_program(parse_program(src), "Main")
+    assert not [e for e in validate_program(out) if e.startswith("error")]
+    (main,) = out.defs["Main"].rules
+    assert [it.fname for it in iter_items(main.rhs) if isinstance(it, Call)] in (
+        ["G"], ["H"], ["K"]
+    )
+    assert len(main.rhs[0].args[0]) <= 2 * SIMPLIFY_ROUNDS + 1

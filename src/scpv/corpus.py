@@ -147,19 +147,15 @@ def synapse_unsafe_mutant() -> Program:
 
 
 def self_interpreter(programs: dict) -> Program:
-    """The interpreter plus a Prog dispatch over the given encoded models.
-
-    ``programs`` maps a name symbol to either a Program (encoded here) or an
-    already-encoded datum.
-    """
+    """The interpreter plus a Prog dispatch over the given models, each
+    encoded here; ``programs`` maps a name symbol to a Program."""
     prog = parse_program(INT_SRC, validate=False)
     rules = []
     for name, model in programs.items():
         if name in INTERPRETER_FUNCTIONS or name == "Prog":
             raise LangError(f"program name {name} collides with an interpreter function")
-        data = encode_program(model) if isinstance(model, Program) else tuple(model)
-        assert len(data) == 1 and isinstance(data[0], Paren)
-        rules.append(Rule(((Sym(name),),), data[0].items))
+        (data,) = encode_program(model)
+        rules.append(Rule(((Sym(name),),), data.items))
     if not rules:
         # a Prog with no programs: any lookup is undefined
         rules.append(Rule(((Sym("NoProgram"),),), ()))

@@ -21,6 +21,7 @@ from .config import (
     subst_config,
     subst_seq,
 )
+from .corpus import int_entry_args, self_interpreter
 from .driving import drive, is_renaming
 from .encoding import DecodeError, decode_expr
 from .interp import UNDEFINED, FuelExhausted, eval_call
@@ -41,24 +42,33 @@ from .lang import (
     vars_of,
 )
 from .relations import strict_embed, whistle
-from .transform import Incompatible, fold_instance, msg, split_task
+from .transform import (
+    Incompatible,
+    build_residual,
+    fold_instance,
+    msg,
+    simplify_program,
+    split_task,
+)
 
 
-class BudgetExceeded(Exception):
+class PassStopped(Exception):
+    """A pass ended before its graph was complete; ``graph`` and ``trace``
+    are as it left them."""
+
     def __init__(self, msg, graph=None, trace=None):
         super().__init__(msg)
         self.graph = graph
         self.trace = trace
 
 
-class CounterexampleFound(Exception):
+class BudgetExceeded(PassStopped):
+    """A node, depth or time budget ran out."""
+
+
+class CounterexampleFound(PassStopped):
     """A completed leaf gave an input that the model confirms unsafe; the
     pass stops there."""
-
-    def __init__(self, msg, graph=None, trace=None):
-        super().__init__(msg)
-        self.graph = graph
-        self.trace = trace
 
 
 class PropertyViolation(AssertionError):
@@ -77,8 +87,8 @@ class Node:
     id: int
     config: Configuration
     kind: str = "open"  # open|drive|passive|stuck|fold|letsplit
-    children: list = field(default_factory=list)  # drive: (contraction, child_id)
-    parts: list = field(default_factory=list)  # letsplit: (connector|None, child_id)
+    # drive: (contraction, child_id); letsplit: (connector or None, child_id)
+    children: list = field(default_factory=list)
     parent: Optional[int] = None
     path: tuple = ()  # whistle ancestors (node ids), oldest first
     value: Seq = ()
@@ -112,30 +122,11 @@ class ProcessGraph:
     def shape_key(self, c: Configuration) -> tuple:
         return tuple(e.fname for e in c.stack)
 
-    def index_complete(self, n: Node) -> None:
-        self.by_shape.setdefault(self.shape_key(n.config), []).append(n.id)
-
     def complete_candidates(self, c: Configuration):
         for nid in self.by_shape.get(self.shape_key(c), ()):
             n = self.nodes[nid]
             if not n.dead:
                 yield n
-
-    def kill_subtree(self, nid: int) -> list:
-        """Remove the sub-tree below nid; returns ids of removed nodes."""
-        killed = []
-        stack = [cid for _, cid in list(self.nodes[nid].children) + list(self.nodes[nid].parts)]
-        self.nodes[nid].children = []
-        self.nodes[nid].parts = []
-        while stack:
-            cid = stack.pop()
-            child = self.nodes[cid]
-            if child.dead:
-                continue
-            child.dead = True
-            killed.append(cid)
-            stack.extend(c for _, c in list(child.children) + list(child.parts))
-        return killed
 
     def stats(self) -> dict:
         return {"nodes": sum(1 for n in self.nodes.values() if not n.dead)}
@@ -217,9 +208,12 @@ def _match_headed_nil(c: Configuration) -> bool:
 
 def _equal_but_labels(a: Configuration, b: Configuration) -> bool:
     """The same configuration once time labels are ignored."""
-    return a.tail == b.tail and [(e.fname, e.args) for e in a.stack] == [
-        (e.fname, e.args) for e in b.stack
-    ]
+    if len(a.stack) != len(b.stack) or a.tail != b.tail:
+        return False
+    for e, f in zip(a.stack, b.stack):
+        if e.fname != f.fname or e.args != f.args:
+            return False
+    return True
 
 
 def _check_action(trace: Trace, what: str, c1: Configuration, c2: Configuration):
@@ -306,9 +300,19 @@ class Engine:
         self.tasks.append(node.id)
 
     def _kill_below(self, nid: int) -> None:
-        """Remove the sub-tree below nid and its nodes from the agenda;
+        """Remove the sub-tree below nid and its nodes from the agenda; then
         reopen surviving fold sources whose target was removed."""
-        killed = self.graph.kill_subtree(nid)
+        node = self.graph.node(nid)
+        stack = [cid for _, cid in node.children]
+        node.children = []
+        killed = []
+        while stack:
+            child = self.graph.node(stack.pop())
+            if not child.dead:
+                child.dead = True
+                killed.append(child.id)
+                stack.extend(cid for _, cid in child.children)
+        # every node below nid is dead before any source is reopened
         self.agenda = [a for a in self.agenda if not self.graph.node(a).dead]
         for tid in killed:
             for sid in self.graph.fold_sources.pop(tid, ()):
@@ -334,17 +338,17 @@ class Engine:
             }
 
     def _complete(self, node: Node) -> None:
-        node.complete = True
-        self.graph.index_complete(node)
-        pid = node.parent
-        while pid is not None:
-            parent = self.graph.node(pid)
-            parent.pending_children -= 1
-            if parent.pending_children > 0:
-                break
-            parent.complete = True
-            self.graph.index_complete(parent)
-            pid = parent.parent
+        """Complete node, and each ancestor whose last pending child it was."""
+        while True:
+            node.complete = True
+            key = self.graph.shape_key(node.config)
+            self.graph.by_shape.setdefault(key, []).append(node.id)
+            if node.parent is None:
+                return
+            node = self.graph.node(node.parent)
+            node.pending_children -= 1
+            if node.pending_children > 0:
+                return
 
     # -- main loop -----------------------------------------------------------
 
@@ -372,25 +376,31 @@ class Engine:
 
         # transitive configurations are skipped and removed from the tree;
         # generalization points and fold targets keep their configuration,
-        # other code refers to their parameters
+        # other code refers to their parameters. A chain that comes back to
+        # its checkpoint, labels ignored, is a cycle: its last configuration
+        # is driven, so that the cycle folds. The checkpoint moves to the
+        # current configuration at each power of two skips (Brent).
         protected = node.entry_subst is not None or node.id in self.graph.fold_sources
         skipped = 0
+        checkpoint = config
         while True:
             res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
             if (
-                not protected
-                and res.kind == "branches"
-                and len(res.branches) == 1
-                and res.branches[0].tag != "stuck"
-                and is_renaming(res.branches[0].contraction)
-                and not res.branches[0].deferred
+                protected
+                or res.kind != "branches"
+                or len(res.branches) != 1
+                or res.branches[0].tag == "stuck"
+                or not is_renaming(res.branches[0].contraction)
+                or res.branches[0].deferred
+                or _equal_but_labels(res.branches[0].successor, checkpoint)
             ):
-                config = res.branches[0].successor
-                self.trace.transitive_steps += 1
-                skipped += 1
-                self._check_budget()
-                continue
-            break
+                break
+            config = res.branches[0].successor
+            self.trace.transitive_steps += 1
+            skipped += 1
+            if skipped & (skipped - 1) == 0:
+                checkpoint = config
+            self._check_budget()
         node.config = config
         if skipped:
             self.trace.emit("TransitiveSkip", node=node.id, count=skipped)
@@ -450,37 +460,26 @@ class Engine:
                 for b in branches
             ],
         )
-        child_ids = []
+        # a stuck leaf or a task split is an empty placeholder on the
+        # node's own path; any other branch is driven below the node
+        node.pending_children = len(branches)
+        driven = []
         for b in branches:
-            if b.tag == "stuck":
-                child = self.graph.new_node(
-                    Configuration((), ()), parent=node.id, path=node.path
-                )
-                child.kind = "stuck"
-                node.children.append((b.contraction, child.id))
-                continue
-            if b.deferred:
-                child = self.graph.new_node(
-                    Configuration((), ()), parent=node.id, path=node.path
-                )
-                node.children.append((b.contraction, child.id))
-                self._make_letsplit(child, b.successor, b.deferred)
-                continue
+            placeholder = b.tag == "stuck" or bool(b.deferred)
             child = self.graph.new_node(
-                b.successor, parent=node.id, path=node.path + (node.id,)
+                Configuration((), ()) if placeholder else b.successor,
+                parent=node.id,
+                path=node.path if placeholder else node.path + (node.id,),
             )
             node.children.append((b.contraction, child.id))
-            child_ids.append(child.id)
-        node.pending_children = sum(
-            0 if self.graph.node(cid).complete else 1 for _, cid in node.children
-        )
-        leaves = [
-            cid for _, cid in node.children if self.graph.node(cid).kind == "stuck"
-        ]
-        for cid in leaves:
-            self._complete(self.graph.node(cid))
-        for cid in reversed(child_ids):
-            self.agenda.append(cid)
+            if b.tag == "stuck":
+                child.kind = "stuck"
+                self._complete(child)
+            elif placeholder:
+                self._make_letsplit(child, b.successor, b.deferred)
+            else:
+                driven.append(child.id)
+        self.agenda.extend(reversed(driven))
 
     def _make_letsplit(self, node: Node, primary: Configuration, deferred) -> None:
         node.kind = "letsplit"
@@ -488,16 +487,16 @@ class Engine:
         # its ancestor path; the continuations are postponed as separate
         # tasks, unfolded completely independently
         first = self.graph.new_node(primary, parent=node.id, path=node.path)
-        node.parts = [(None, first.id)]
+        node.children = [(None, first.id)]
         for p, cfg in deferred:
             part = self.graph.new_node(cfg, parent=node.id, path=())
-            node.parts.append((p, part.id))
-        node.pending_children = len(node.parts)
+            node.children.append((p, part.id))
+        node.pending_children = len(node.children)
         self.trace.emit(
-            "TaskSplit", node=node.id, parts=[pid for _, pid in node.parts]
+            "TaskSplit", node=node.id, parts=[pid for _, pid in node.children]
         )
         self.agenda.append(first.id)
-        for _, pid in node.parts[1:]:
+        for _, pid in node.children[1:]:
             self._enqueue_task(self.graph.node(pid))
 
     # -- folding ---------------------------------------------------------------
@@ -621,7 +620,7 @@ class Engine:
         p_node.entry_subst = prefix_entry
         c_node = self.graph.new_node(context, parent=anc_id, path=())
         c_node.entry_subst = context_entry
-        anc.parts = [(None, p_node.id), (connector, c_node.id)]
+        anc.children = [(None, p_node.id), (connector, c_node.id)]
         anc.pending_children = 2
         anc.complete = False
         self._enqueue_task(p_node)
@@ -659,8 +658,6 @@ def supercompile(
 ):
     """Drive, fold and residualize one entry configuration; ``witness``
     checks each passive leaf as it completes."""
-    from .transform import build_residual, simplify_program
-
     limits = limits or Limits()
     trace = trace or Trace()
     eng = Engine(prog, limits, trace, witness)
@@ -876,8 +873,6 @@ def verify_protocol(
     come from a completed pass; a budget exit after the witness still
     reports it, with no residual. One trace covers every pass.
     """
-    from .corpus import int_entry_args, self_interpreter
-
     _check_defined(model, entry)
     limits = limits or Limits()
     report = {

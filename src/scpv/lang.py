@@ -1,7 +1,8 @@
 """Core syntax for the object language: flat expression sequences, programs,
 parsing, printing and validation, plus the tree operations the rest of the
 package builds on: the item rebuilders ``map_items`` (leaves) and
-``map_calls`` (calls), and the instance matcher ``inst_seq``.
+``map_calls`` (calls), and the instance matchers ``inst_seq`` and
+``inst_args``.
 
 Expressions are kept in concatenation-normal form throughout: an expression
 is a tuple of items, `[]` is the empty tuple, `:` and `++` both concatenate.
@@ -361,6 +362,19 @@ def inst_seq(pat: Seq, subj: Seq, th: dict, budget: Budget) -> Optional[dict]:
         i += 1
         j += 1
     return None
+
+
+def inst_args(pats, subjs) -> Optional[dict]:
+    """``inst_seq`` over the pairs of two equally long lists of sequences in
+    turn, under one budget: a substitution taking every pattern to its
+    subject, or None."""
+    budget = Budget(MATCH_BUDGET)
+    th: Optional[dict] = {}
+    for pat, subj in zip(pats, subjs):
+        th = inst_seq(pat, subj, th, budget)
+        if th is None:
+            return None
+    return th
 
 
 # ---------------------------------------------------------------------------

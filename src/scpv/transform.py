@@ -19,8 +19,6 @@ from .lang import (
     HAS_BULLET,
     HAS_PARAM,
     HAS_VAR,
-    MATCH_BUDGET,
-    Budget,
     Bullet,
     Call,
     FuncDef,
@@ -32,7 +30,7 @@ from .lang import (
     Sym,
     Var,
     bullet_count,
-    inst_seq,
+    inst_args,
     is_sym_kind,
     iter_items,
     map_calls,
@@ -56,39 +54,24 @@ def _ground_item(it) -> bool:
     return not it.flags & (HAS_PARAM | HAS_VAR | HAS_BULLET)
 
 
-def _alignable(x, y) -> bool:
-    if x == y and _ground_item(x):
-        return True
-    if isinstance(x, Bullet) and isinstance(y, Bullet):
-        return True
-    if is_sym_kind(x) and is_sym_kind(y):
-        return True
-    if isinstance(x, Param) and isinstance(y, Param) and x.kind == y.kind:
-        return True
-    if isinstance(x, Paren) and isinstance(y, Paren):
-        return True
-    if isinstance(x, Call) and isinstance(y, Call):
-        return x.fname == y.fname and len(x.args) == len(y.args)
-    return False
-
-
 def msg_seq(a: Seq, b: Seq, pgen: ParamGen, th1: dict, th2: dict) -> Seq:
     """Generalize two sequences: greedy alignment from both ends, one fresh
     e-parameter for the mismatching middle."""
     a, b = tuple(a), tuple(b)
-    lo = 0
-    left = []
-    while lo < len(a) and lo < len(b) and _alignable(a[lo], b[lo]):
-        left.append(_msg_item(a[lo], b[lo], pgen, th1, th2))
+    n = min(len(a), len(b))
+    lo = hi = 0
+    left, right = [], []
+    while lo < n:
+        it = _msg_item(a[lo], b[lo], pgen, th1, th2)
+        if it is None:
+            break
+        left.append(it)
         lo += 1
-    hi = 0
-    right = []
-    while (
-        len(a) - hi > lo
-        and len(b) - hi > lo
-        and _alignable(a[-1 - hi], b[-1 - hi])
-    ):
-        right.append(_msg_item(a[-1 - hi], b[-1 - hi], pgen, th1, th2))
+    while n - hi > lo:
+        it = _msg_item(a[-1 - hi], b[-1 - hi], pgen, th1, th2)
+        if it is None:
+            break
+        right.append(it)
         hi += 1
     mid_a, mid_b = a[lo : len(a) - hi], b[lo : len(b) - hi]
     middle = []
@@ -103,24 +86,27 @@ def msg_seq(a: Seq, b: Seq, pgen: ParamGen, th1: dict, th2: dict) -> Seq:
 
 
 def _msg_item(x, y, pgen: ParamGen, th1, th2):
-    if x == y and _ground_item(x):
+    """The generalization of two items, or None when they do not align; a
+    fresh parameter is taken only once they do."""
+    tx, ty = type(x), type(y)
+    if (x == y and _ground_item(x)) or (tx is Bullet and ty is Bullet):
         return x
-    if isinstance(x, Bullet):
-        return x
-    if isinstance(x, Paren) and isinstance(y, Paren):
+    if tx is Paren and ty is Paren:
         return Paren(msg_seq(x.items, y.items, pgen, th1, th2))
-    if isinstance(x, Call) and isinstance(y, Call):
+    if tx is Call and ty is Call:
+        if x.fname != y.fname or len(x.args) != len(y.args):
+            return None
         return Call(
             x.fname,
             tuple(msg_seq(p, q, pgen, th1, th2) for p, q in zip(x.args, y.args)),
         )
-    if isinstance(x, Param) and isinstance(y, Param) and x.kind == y.kind == "e":
-        p = pgen.fresh("e")
-        th1[p] = (x,)
-        th2[p] = (y,)
-        return p
-    # both symbol-kind
-    p = pgen.fresh("s")
+    if tx is Param and ty is Param and x.kind == y.kind == "e":
+        kind = "e"
+    elif is_sym_kind(x) and is_sym_kind(y):
+        kind = "s"
+    else:
+        return None
+    p = pgen.fresh(kind)
     th1[p] = (x,)
     th2[p] = (y,)
     return p
@@ -154,16 +140,13 @@ def fold_instance(ancestor: Configuration, current: Configuration) -> Optional[d
     """A substitution with ancestor applied equal to current, labels ignored."""
     if len(ancestor.stack) != len(current.stack):
         return None
-    budget = Budget(MATCH_BUDGET)
-    th: Optional[dict] = {}
     for f, g in zip(ancestor.stack, current.stack):
         if f.fname != g.fname or len(f.args) != len(g.args):
             return None
-        for pa, da in zip(f.args, g.args):
-            th = inst_seq(pa, da, th, budget)
-            if th is None:
-                return None
-    return inst_seq(ancestor.tail, current.tail, th, budget)
+    return inst_args(
+        [a for f in ancestor.stack for a in f.args] + [ancestor.tail],
+        [a for g in current.stack for a in g.args] + [current.tail],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +254,9 @@ class _Emitter:
         raise IncompleteGraph(f"open node {nid} in residual graph")
 
     def let_expr(self, node) -> Seq:
-        # parts: [(connector_or_None, node_id)]; a part's connector carries
-        # the previous part's value, the last part is the whole value
-        parts = node.parts
+        # children: [(connector or None, node_id)]; a part's connector
+        # carries the previous part's value, the last part is the whole value
+        parts = node.children
         expr = self.node_expr(parts[-1][1])
         for i in range(len(parts) - 1, 0, -1):
             connector = parts[i][0]
@@ -353,22 +336,10 @@ SIMPLIFY_ROUNDS = 12  # rounds of inlining, merging and dead-code removal
 INLINE_BUDGET = 10_000  # forwarder expansions per round
 
 
-def _rule_subsumed(early: Rule, late: Rule) -> bool:
-    """True when late's patterns are an instance of early's, so that early
-    claims every input late would match."""
-    budget = Budget(MATCH_BUDGET)
-    th: Optional[dict] = {}
-    for g, s in zip(early.lhs, late.lhs):
-        th = inst_seq(g, s, th, budget)
-        if th is None:
-            return False
-    return True
-
-
 def _drop_dead_rules(d: FuncDef) -> FuncDef:
     kept: list = []
     for r in d.rules:
-        if any(_rule_subsumed(k, r) for k in kept):
+        if any(inst_args(k.lhs, r.lhs) is not None for k in kept):
             continue
         kept.append(r)
     return FuncDef(d.name, d.arity, tuple(kept))
@@ -379,22 +350,6 @@ def _subst_vars_seq(seq: Seq, env: dict) -> Seq:
     return map_items(seq, HAS_VAR, lambda v: env.get(v, (v,)))
 
 
-def _forward_env(rule: Rule, args: tuple) -> Optional[dict]:
-    """The bindings under which a forwarder's patterns, each empty or one
-    bare variable, match args; None when an s-variable meets anything but
-    one symbol-kind item, or an empty pattern a non-empty argument."""
-    env = {}
-    for pat, arg in zip(rule.lhs, args):
-        if not pat:
-            if arg:
-                return None
-        elif pat[0].kind == "e" or (len(arg) == 1 and is_sym_kind(arg[0])):
-            env[pat[0]] = arg
-        else:
-            return None
-    return env
-
-
 def _inline(call: Call, inlinable: dict, budget: list, expanding: tuple) -> Seq:
     """The expansion of a call of a forwarder, itself inlined. A call of a
     function in ``expanding``, whose body or expansion this is, is kept, so
@@ -402,7 +357,7 @@ def _inline(call: Call, inlinable: dict, budget: list, expanding: tuple) -> Seq:
     rule = inlinable.get(call.fname)
     if rule is None or budget[0] <= 0 or call.fname in expanding:
         return (call,)
-    env = _forward_env(rule, call.args)
+    env = inst_args(rule.lhs, call.args)
     if env is None:
         return (call,)
     budget[0] -= 1

@@ -14,6 +14,9 @@ checked against them. The reference rule-subsumption matcher is the
 recursive variable matcher that residual cleanup used before folding and
 subsumption shared ``lang.inst_seq``.
 
+The reference msg decides whether two items align in one routine and
+generalizes them in another, as msg did before one routine did both.
+
 The residual cleanup references are the call walkers that forwarder
 inlining, the rename after merging and the definition key used before they
 were built on ``lang.map_calls`` and ``lang.map_items``.
@@ -24,10 +27,13 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from scpv.config import Clock, Configuration, ParamGen, compose_subst, subst_seq
+from scpv.config import Clock, Configuration, ParamGen, TimedApp, compose_subst, subst_seq
 from scpv.driving import FAIL, NotSupported, _match_one, _shape_cases, drive, is_renaming
 from scpv.lang import (
     BULLET,
+    HAS_BULLET,
+    HAS_PARAM,
+    HAS_VAR,
     Bullet,
     Call,
     FuncDef,
@@ -38,11 +44,13 @@ from scpv.lang import (
     Seq,
     Sym,
     Var,
+    bullet_count,
     is_ground,
+    is_sym_kind,
     iter_items,
 )
 from scpv.interp import eval_seq, match_seq  # noqa: used by helpers below
-from scpv.transform import _subst_vars_seq
+from scpv.transform import Generalization, Incompatible, _subst_vars_seq
 
 
 def _sym_kind(it) -> bool:
@@ -600,6 +608,98 @@ def ref_pattern_instance(general: Seq, specific: Seq, th: dict):
             return None
         return ref_pattern_instance(rest, specific[1:], got)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference most specific generalization
+
+
+def _ref_ground_item(it) -> bool:
+    return not it.flags & (HAS_PARAM | HAS_VAR | HAS_BULLET)
+
+
+def _ref_alignable(x, y) -> bool:
+    if x == y and _ref_ground_item(x):
+        return True
+    if isinstance(x, Bullet) and isinstance(y, Bullet):
+        return True
+    if is_sym_kind(x) and is_sym_kind(y):
+        return True
+    if isinstance(x, Param) and isinstance(y, Param) and x.kind == y.kind:
+        return True
+    if isinstance(x, Paren) and isinstance(y, Paren):
+        return True
+    if isinstance(x, Call) and isinstance(y, Call):
+        return x.fname == y.fname and len(x.args) == len(y.args)
+    return False
+
+
+def _ref_msg_seq(a: Seq, b: Seq, pgen: ParamGen, th1: dict, th2: dict) -> Seq:
+    a, b = tuple(a), tuple(b)
+    lo = 0
+    left = []
+    while lo < len(a) and lo < len(b) and _ref_alignable(a[lo], b[lo]):
+        left.append(_ref_msg_item(a[lo], b[lo], pgen, th1, th2))
+        lo += 1
+    hi = 0
+    right = []
+    while (
+        len(a) - hi > lo
+        and len(b) - hi > lo
+        and _ref_alignable(a[-1 - hi], b[-1 - hi])
+    ):
+        right.append(_ref_msg_item(a[-1 - hi], b[-1 - hi], pgen, th1, th2))
+        hi += 1
+    mid_a, mid_b = a[lo : len(a) - hi], b[lo : len(b) - hi]
+    middle = []
+    if mid_a or mid_b:
+        if bullet_count(mid_a) or bullet_count(mid_b):
+            raise Incompatible("bullets cannot be generalized away")
+        p = pgen.fresh("e")
+        th1[p] = mid_a
+        th2[p] = mid_b
+        middle = [p]
+    return tuple(left + middle + list(reversed(right)))
+
+
+def _ref_msg_item(x, y, pgen: ParamGen, th1, th2):
+    if x == y and _ref_ground_item(x):
+        return x
+    if isinstance(x, Bullet):
+        return x
+    if isinstance(x, Paren) and isinstance(y, Paren):
+        return Paren(_ref_msg_seq(x.items, y.items, pgen, th1, th2))
+    if isinstance(x, Call) and isinstance(y, Call):
+        return Call(
+            x.fname,
+            tuple(_ref_msg_seq(p, q, pgen, th1, th2) for p, q in zip(x.args, y.args)),
+        )
+    if isinstance(x, Param) and isinstance(y, Param) and x.kind == y.kind == "e":
+        p = pgen.fresh("e")
+        th1[p] = (x,)
+        th2[p] = (y,)
+        return p
+    # both symbol-kind
+    p = pgen.fresh("s")
+    th1[p] = (x,)
+    th2[p] = (y,)
+    return p
+
+
+def ref_msg(c1: Configuration, c2: Configuration, pgen: ParamGen) -> Generalization:
+    """msg with alignment decided before each item is generalized."""
+    if len(c1.stack) != len(c2.stack):
+        raise Incompatible("stack heights differ")
+    th1: dict = {}
+    th2: dict = {}
+    entries = []
+    for f, g in zip(c1.stack, c2.stack):
+        if f.fname != g.fname or len(f.args) != len(g.args):
+            raise Incompatible(f"stack entries {f.fname}/{g.fname} differ")
+        args = tuple(_ref_msg_seq(p, q, pgen, th1, th2) for p, q in zip(f.args, g.args))
+        entries.append(TimedApp(f.fname, args, f.time))
+    tail = _ref_msg_seq(c1.tail, c2.tail, pgen, th1, th2)
+    return Generalization(Configuration(tuple(entries), tail), th1, th2)
 
 
 # ---------------------------------------------------------------------------

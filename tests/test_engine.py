@@ -189,6 +189,31 @@ def test_transitive_skips_recorded(syn, direct_run):
     assert any(e["ev"] == "TransitiveSkip" for e in trace.events)
 
 
+@pytest.mark.parametrize(
+    "src, fn",
+    [
+        ("G { e.x => G(e.x); }", "G"),
+        ("G { e.x => H(e.x); } H { e.x => G(e.x); }", "G"),
+        ("Main { e.x => G(e.x); } G { e.x => G(e.x); }", "Main"),
+    ],
+    ids=["self", "two", "behind-a-call"],
+)
+def test_transitive_cycle_folds(src, fn):
+    # a transitive chain that comes back to an earlier configuration is
+    # driven where it closes, and folds, instead of being skipped forever
+    from scpv.lang import parse_program, print_program
+
+    prog = parse_program(src)
+    limits = Limits(time_budget_s=2)
+    residual, graph, _ = supercompile(
+        prog, make_entry_config(prog, fn), limits, entry_name=f"{fn}Res"
+    )
+    assert print_program(residual) == f"{fn}Res {{\n  e.1 => {fn}Res(e.1);\n}}\n"
+    assert graph.stats()["nodes"] == 2
+    rep = verify_protocol(prog, entry=fn, limits=limits)
+    assert rep["safe"] is True and rep["passes"][0]["fold_checked"] == 1
+
+
 def test_residual_prints_and_reparses(syn, direct_run):
     from scpv.lang import parse_program, print_program, validate_program
 

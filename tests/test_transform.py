@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ref_msg
 
 from scpv.config import Configuration, ParamGen, TimedApp, subst_config
 from scpv.lang import (
@@ -88,6 +92,72 @@ def test_msg_incompatible_names():
     c2 = Configuration((TimedApp("G", ((),), 2),), (BULLET,))
     with pytest.raises(Incompatible):
         msg(c1, c2, pgen)
+
+
+# configuration items: symbols, s- and e-parameters, bullets, parens and
+# calls of two names, so that calls meet calls of the same or another name
+MSG_LEAVES = (Sym("a", char=True), Sym("I"), Param("s", 1), Param("s", 2),
+              Param("e", 3), Param("e", 4), BULLET)
+msg_item = st.recursive(
+    st.sampled_from(MSG_LEAVES),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3).map(lambda xs: Paren(tuple(xs))),
+        st.builds(
+            lambda f, args: Call(f, tuple(map(tuple, args))),
+            st.sampled_from(("F", "G")),
+            st.lists(st.lists(kids, max_size=2), min_size=1, max_size=2),
+        ),
+    ),
+    max_leaves=10,
+)
+msg_seqs = st.lists(msg_item, max_size=4).map(tuple)
+
+
+def _vary(draw, seq):
+    """seq itself, another sequence, or seq with one more item inside."""
+    how = draw(st.sampled_from(("keep", "other", "splice")))
+    if how == "keep":
+        return seq
+    if how == "other":
+        return draw(msg_seqs)
+    i = draw(st.integers(0, len(seq)))
+    return seq[:i] + (draw(msg_item),) + seq[i:]
+
+
+def _config(draw):
+    shape = draw(st.lists(st.tuples(st.sampled_from(("F", "G")), st.integers(1, 2)), max_size=2))
+    stack = tuple(
+        TimedApp(f, tuple(draw(msg_seqs) for _ in range(n)), t)
+        for t, (f, n) in enumerate(shape)
+    )
+    return Configuration(stack, draw(msg_seqs))
+
+
+@st.composite
+def msg_pairs(draw):
+    """A configuration and either an unrelated one or a variation of it."""
+    c1 = _config(draw)
+    if draw(st.integers(0, 3)) == 0:
+        return c1, _config(draw)
+    stack = tuple(
+        TimedApp(e.fname, tuple(_vary(draw, a) for a in e.args), e.time + 10)
+        for e in c1.stack
+    )
+    return c1, Configuration(stack, _vary(draw, c1.tail))
+
+
+@settings(max_examples=500, deadline=None)
+@given(msg_pairs(), st.integers(5, 50))
+def test_msg_agrees_with_reference(pair, start):
+    outcomes = []
+    for fn in (msg, ref_msg):
+        pgen = ParamGen(start)
+        try:
+            g = fn(*pair, pgen)
+            outcomes.append((g.gen, g.theta1, g.theta2, pgen.next_num))
+        except Incompatible:
+            outcomes.append(("Incompatible", pgen.next_num))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_fold_instance_accumulator():

@@ -22,11 +22,12 @@ from .config import (
     subst_seq,
 )
 from .corpus import int_entry_args, self_interpreter
-from .driving import drive, is_renaming
+from .driving import Branch, StepResult, drive, is_renaming
 from .encoding import DecodeError, decode_expr
 from .interp import UNDEFINED, FuelExhausted, eval_call
 from .lang import (
     BULLET,
+    HAS_PARAM,
     HAS_VAR,
     LangError,
     Param,
@@ -41,7 +42,7 @@ from .lang import (
     print_seq,
     vars_of,
 )
-from .relations import strict_embed, whistle
+from .relations import _config_embed, strict_embed, whistle
 from .transform import (
     Incompatible,
     build_residual,
@@ -150,6 +151,7 @@ class Trace:
         self.msg_checked = 0
         self.fold_checked = 0
         self.transitive_steps = 0
+        self.transitive_replayed = 0  # skips answered from a chain memo
 
     def emit(self, ev: str, **fields) -> None:
         rec = {"v": 1, "ev": ev}
@@ -254,6 +256,49 @@ def _note_generalization(trace: Trace, c1: Configuration, c2: Configuration):
 
 
 # ---------------------------------------------------------------------------
+# Transitive chains
+
+
+def _skip_to(res: StepResult, skipped: int, checkpoint: Configuration):
+    """The successor a chain skips to after ``skipped`` skips, or None where
+    it stops: the step is not transitive, or its successor is the
+    checkpoint with labels ignored (a cycle) or, where the checkpoint is
+    about to move, embeds the checkpoint (growth)."""
+    if res.kind != "branches" or len(res.branches) != 1:
+        return None
+    b = res.branches[0]
+    if b.tag == "stuck" or b.deferred or not is_renaming(b.contraction):
+        return None
+    if _equal_but_labels(b.successor, checkpoint):
+        return None
+    n = skipped + 1
+    if n & (n - 1) == 0 and _config_embed(checkpoint, b.successor):
+        return None
+    return b.successor
+
+
+def _chain_key(c: Configuration):
+    """c up to parameter renaming: its labels dropped and its parameters
+    numbered by first occurrence; and those parameters, in that order."""
+    seen: dict = {}
+
+    def number(p):
+        q = seen.get(p)
+        if q is None:
+            q = seen[p] = Param(p.kind, len(seen))
+        return (q,)
+
+    key = (
+        tuple(
+            (e.fname, tuple(map_items(a, HAS_PARAM, number) for a in e.args))
+            for e in c.stack
+        ),
+        map_items(c.tail, HAS_PARAM, number),
+    )
+    return key, tuple(seen)
+
+
+# ---------------------------------------------------------------------------
 # The engine
 
 
@@ -275,6 +320,10 @@ class Engine:
         self.t0 = time.monotonic()
         self.tasks: list[int] = []  # FIFO of task-root node ids
         self.agenda: list[int] = []  # LIFO within the current task
+        # transitive chains driven in this pass, by the function names of
+        # their first successor's stack and then its _chain_key (see
+        # _replay); they depend only on the program
+        self.chains: dict[tuple, dict] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -372,36 +421,12 @@ class Engine:
         self._check_budget()
         if len(node.path) > self.limits.max_depth:
             raise BudgetExceeded("depth budget exceeded", self.graph, self.trace)
-        config = node.config
 
         # transitive configurations are skipped and removed from the tree;
         # generalization points and fold targets keep their configuration,
-        # other code refers to their parameters. A chain that comes back to
-        # its checkpoint, labels ignored, is a cycle: its last configuration
-        # is driven, so that the cycle folds. The checkpoint moves to the
-        # current configuration at each power of two skips (Brent).
+        # other code refers to their parameters
         protected = node.entry_subst is not None or node.id in self.graph.fold_sources
-        skipped = 0
-        checkpoint = config
-        while True:
-            res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
-            if (
-                protected
-                or res.kind != "branches"
-                or len(res.branches) != 1
-                or res.branches[0].tag == "stuck"
-                or not is_renaming(res.branches[0].contraction)
-                or res.branches[0].deferred
-                or _equal_but_labels(res.branches[0].successor, checkpoint)
-            ):
-                break
-            config = res.branches[0].successor
-            self.trace.transitive_steps += 1
-            skipped += 1
-            if skipped & (skipped - 1) == 0:
-                checkpoint = config
-            self._check_budget()
-        node.config = config
+        node.config, res, skipped = self._skip_chain(node.config, protected)
         if skipped:
             self.trace.emit("TransitiveSkip", node=node.id, count=skipped)
 
@@ -446,6 +471,138 @@ class Engine:
                 return
 
         self._make_drive(node, res.branches)
+
+    # -- transitive chains -----------------------------------------------------
+
+    def _skip_chain(self, config: Configuration, protected: bool):
+        """Drive ``config`` and, unless ``protected``, skip the transitive
+        steps from it; return the chain's end, the drive of the end and the
+        number of skips.
+
+        A chain that comes back to its checkpoint, labels ignored, is a
+        cycle, and one whose successor embeds the checkpoint grows: the
+        last configuration is driven, so that the cycle folds and the growth
+        meets the whistle. The checkpoint moves to the current configuration
+        at each power of two skips (Brent), and the embedding is tested only
+        there, so a chain of n skips makes O(log n) tests.
+
+        After one skip the loop's state is the first successor ``start``
+        alone, so a chain already driven from a renaming of ``start`` is
+        replayed (``_replay``) instead of driven again. A chain that warned
+        is not kept, so that its warnings come out on every visit, nor is
+        one that ends at ``start``: renaming its end costs about as much as
+        driving it.
+        """
+        res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
+        start = None if protected else _skip_to(res, 0, config)
+        if start is None:
+            return config, res, 0
+        self.trace.transitive_steps += 1
+        self._check_budget()
+        shape = self.graph.shape_key(start)
+        stored = self.chains.get(shape)
+        key = None
+        if stored is not None:
+            key, params = _chain_key(start)
+            chain = stored.get(key)
+            if chain is not None:
+                return self._replay(chain, start, params)
+        base, now, warned = self.pgen.next_num, self.clock.now, len(self.trace.warnings)
+        config = checkpoint = start
+        skipped = 1
+        while True:
+            res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
+            succ = _skip_to(res, skipped, checkpoint)
+            if succ is None:
+                break
+            config = succ
+            self.trace.transitive_steps += 1
+            skipped += 1
+            if skipped & (skipped - 1) == 0:
+                checkpoint = config
+            self._check_budget()
+        if skipped > 1 and len(self.trace.warnings) == warned:
+            if key is None:
+                key, params = _chain_key(start)
+            self.chains.setdefault(shape, {})[key] = (
+                params,
+                tuple(e.time for e in start.stack),
+                base,
+                now,
+                config,
+                res,
+                skipped - 1,
+                self.pgen.next_num - base,
+                self.clock.now - now,
+            )
+        return config, res, skipped
+
+    def _replay(self, chain: tuple, start: Configuration, params: tuple):
+        """The stored chain renamed to run from ``start``, whose parameters
+        by first occurrence are ``params``; the clock and the ParamGen
+        advance as the drives would have advanced them.
+
+        ``chain`` holds, as driven from its first successor: the successor's
+        parameters by first occurrence and its labels top first,
+        ``pgen.next_num`` and ``clock.now`` at the successor, the chain's end
+        and the drive of the end, the skips after the first, and how many
+        parameters and labels the chain took.
+
+        This is exact: ``drive`` reads labels only to copy them, compares
+        parameters only for equality, and takes fresh labels and parameters
+        only from ``clock.tick()`` and ``pgen.fresh()``, in order. So the
+        successor's parameters and labels map by position, and the ones the
+        chain took map by their offset from where the supplies stood."""
+        old_params, old_labels, base, now, end, res, skips, fresh, ticks = chain
+        pmap = dict(zip(old_params, params))
+        lmap = dict(zip(old_labels, (e.time for e in start.stack)))
+        pshift = self.pgen.next_num - base
+        lshift = self.clock.now - now
+
+        def param(p):
+            q = pmap.get(p)
+            return Param(p.kind, p.num + pshift) if q is None else q
+
+        def leaf(p):
+            return (param(p),)
+
+        def seq(s):
+            return map_items(s, HAS_PARAM, leaf)
+
+        def config(c):
+            return Configuration(
+                tuple(
+                    TimedApp(
+                        e.fname,
+                        tuple(seq(a) for a in e.args),
+                        lmap.get(e.time, e.time + lshift),
+                    )
+                    for e in c.stack
+                ),
+                seq(c.tail),
+            )
+
+        if res.kind == "passive":
+            res = StepResult("passive", value=seq(res.value))
+        else:
+            res = StepResult(
+                "branches",
+                branches=tuple(
+                    Branch(
+                        {param(p): seq(v) for p, v in b.contraction.items()},
+                        None if b.successor is None else config(b.successor),
+                        b.tag,
+                        tuple((param(p), config(c)) for p, c in b.deferred),
+                    )
+                    for b in res.branches
+                ),
+            )
+        self.clock.now += ticks
+        self.pgen.next_num += fresh
+        self.trace.transitive_steps += skips
+        self.trace.transitive_replayed += skips
+        self._check_budget()
+        return config(end), res, skips + 1
 
     # -- node constructors ---------------------------------------------------
 
@@ -903,7 +1060,12 @@ def verify_protocol(
         if p_i:
             trace.instrument = False
             trace.emit("Pass", **{"pass": p_i + 1})
-        counted = (trace.msg_checked, trace.fold_checked, trace.transitive_steps)
+        counted = (
+            trace.msg_checked,
+            trace.fold_checked,
+            trace.transitive_steps,
+            trace.transitive_replayed,
+        )
         search = WitnessSearch(
             entry_cfg.stack[0].args, model, entry, _input_reader(mode, p_i),
             unsafe_symbol, stop=not need_residual,
@@ -941,6 +1103,7 @@ def verify_protocol(
                 "msg_checked": trace.msg_checked - counted[0],
                 "fold_checked": trace.fold_checked - counted[1],
                 "transitive_steps": trace.transitive_steps - counted[2],
+                "transitive_replayed": trace.transitive_replayed - counted[3],
                 "seconds": round(time.monotonic() - t0, 3),
             }
         )

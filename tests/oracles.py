@@ -17,6 +17,9 @@ subsumption shared ``lang.inst_seq``.
 The reference msg decides whether two items align in one routine and
 generalizes them in another, as msg did before one routine did both.
 
+The reference skip loop drives every step of a transitive chain, as the
+engine did before it replayed chains from a memo.
+
 The residual cleanup references are the call walkers that forwarder
 inlining, the rename after merging and the definition key used before they
 were built on ``lang.map_calls`` and ``lang.map_items``.
@@ -50,6 +53,7 @@ from scpv.lang import (
     iter_items,
 )
 from scpv.interp import eval_seq, match_seq  # noqa: used by helpers below
+from scpv.relations import _config_embed
 from scpv.transform import Generalization, Incompatible, _subst_vars_seq
 
 
@@ -508,6 +512,38 @@ def is_transitive(config: Configuration, prog: Program) -> bool:
         return False
     b = res.branches[0]
     return b.tag != "stuck" and is_renaming(b.contraction)
+
+
+def ref_skip_chain(config: Configuration, prog: Program, clock: Clock,
+                   pgen: ParamGen, trace) -> tuple:
+    """The transitive-skip loop of ``Engine.step`` with no chain memo: drive
+    every configuration of the chain. It stops where a step is not
+    transitive, where the successor equals the checkpoint with labels
+    ignored, or where the checkpoint is about to move (at each power of two
+    skips) and the successor embeds it. Returns (end, drive of the end,
+    skips) and counts the skips in ``trace.transitive_steps``."""
+    skipped = 0
+    checkpoint = config
+    while True:
+        res = drive(config, prog, clock, pgen, trace.warn)
+        if res.kind != "branches" or len(res.branches) != 1:
+            break
+        b = res.branches[0]
+        if b.tag == "stuck" or not is_renaming(b.contraction) or b.deferred:
+            break
+        succ = b.successor
+        same = [(e.fname, e.args) for e in succ.stack] == [
+            (e.fname, e.args) for e in checkpoint.stack
+        ] and succ.tail == checkpoint.tail
+        n = skipped + 1
+        if same or (n & (n - 1) == 0 and _config_embed(checkpoint, succ)):
+            break
+        config = succ
+        trace.transitive_steps += 1
+        skipped = n
+        if n & (n - 1) == 0:
+            checkpoint = config
+    return config, res, skipped
 
 
 def ref_inst_seq(pat: Seq, subj: Seq, th: dict, budget):

@@ -214,6 +214,111 @@ def test_transitive_cycle_folds(src, fn):
     assert rep["safe"] is True and rep["passes"][0]["fold_checked"] == 1
 
 
+def test_transitive_growth_ends():
+    # a transitive chain whose successor embeds its checkpoint grows: it is
+    # driven there, so that the whistle generalizes and the loop folds
+    from scpv.lang import parse_program, print_program
+
+    prog = parse_program("G { e.x => G(A e.x); }")
+    residual, _, _ = supercompile(
+        prog, make_entry_config(prog, "G"), Limits(time_budget_s=1)
+    )
+    assert print_program(residual) == "Start {\n  e.1 => Start(A e.1);\n}\n"
+
+
+def _renamed(c, dp: int, dt: int):
+    """c with every parameter number raised by dp and every label by dt."""
+    from scpv.config import subst_config
+    from scpv.lang import Param, vars_of
+
+    ps = {p for e in c.stack for a in e.args for p in vars_of(a)}
+    ps |= set(vars_of(c.tail))
+    c = subst_config(c, {p: (Param(p.kind, p.num + dp),) for p in ps if type(p) is Param})
+    return Configuration(
+        tuple(TimedApp(e.fname, e.args, e.time + dt) for e in c.stack), c.tail
+    )
+
+
+@pytest.fixture(scope="module")
+def indirect_starts(syn):
+    """Every step's start configuration in indirect pass 1 of synapse.l, with
+    the clock and the ParamGen as they stood."""
+    from scpv.engine import Engine
+
+    class Recording(Engine):
+        def step(self, node):
+            self.starts.append((node.config, self.clock.now, self.pgen.next_num))
+            super().step(node)
+
+    prog = self_interpreter({"Synapse": syn})
+    eng = Recording(prog, Limits(time_budget_s=240), Trace())
+    eng.starts = []
+    eng.run(parse_entry_config(prog, "Int((Call Main e.d), (Prog Synapse))"))
+    return prog, eng.starts
+
+
+def test_chain_replay_matches_reference(indirect_starts):
+    # a chain replayed from the memo for a renamed start ends where the
+    # plain skip loop ends: the same configuration and labels, the same
+    # drive result, skips, clock, ParamGen and warnings
+    from scpv.config import Clock, ParamGen
+    from scpv.engine import Engine
+
+    from oracles import ref_skip_chain
+
+    prog, starts = indirect_starts
+    replayed = 0
+    for c, now, base in starts[::5]:
+        eng = Engine(prog, Limits(time_budget_s=240), Trace())
+        eng.clock.now, eng.pgen.next_num = now, base
+        # the second start's labels and parameters stay below the supplies
+        for start in (c, _renamed(c, 5000, 700)):
+            clock, pgen, ref = Clock(eng.clock.now), ParamGen(eng.pgen.next_num), Trace()
+            steps, warned = eng.trace.transitive_steps, len(eng.trace.warnings)
+            got = eng._skip_chain(start, False)
+            want = ref_skip_chain(start, prog, clock, pgen, ref)
+            assert got == want  # labels included
+            if got[1].kind == "branches":
+                assert [list(b.contraction.items()) for b in got[1].branches] == [
+                    list(b.contraction.items()) for b in want[1].branches
+                ]
+            assert (eng.clock.now, eng.pgen.next_num) == (clock.now, pgen.next_num)
+            assert eng.trace.transitive_steps - steps == ref.transitive_steps
+            assert eng.trace.warnings[warned:] == ref.warnings
+            eng.clock.now += 1000
+            eng.pgen.next_num += 9000
+        replayed += eng.trace.transitive_replayed
+    assert replayed > 0
+
+
+def test_chain_that_warns_warns_every_visit():
+    # both F children skip through G into a parameter-parameter decision;
+    # a chain that warned is not replayed, so the warning comes out twice
+    from scpv.lang import parse_program
+
+    prog = parse_program(
+        "Main { A, s.x, s.y => F(s.x, s.y); B, s.x, s.y => F(s.x, s.y); }\n"
+        "F { s.x, s.y => G(s.x, s.y); }\n"
+        "G { s.x, s.y => Eq(s.x s.y); }\n"
+        "Eq { s.x s.x => T; s.x s.y => N; }\n"
+    )
+    trace = Trace()
+    entry = parse_entry_config(prog, "Main(s.a, s.b, s.c)")
+    supercompile(prog, entry, Limits(time_budget_s=5), trace)
+    assert trace.warnings == ["parameter-parameter symbol decision s.3=s.2"] * 2
+    assert trace.transitive_steps == 4
+
+
+def test_chain_memo_counts_replayed_skips(syn):
+    rep = verify_protocol(syn, mode="indirect", passes=2, model_name="Synapse")
+    assert rep["safe"] is True and rep["passes_used"] == 2
+    first, second = rep["passes"]
+    assert 0 < first["transitive_replayed"] <= first["transitive_steps"]
+    # pass 2 skips 9 steps in 7 chains, 6 of them one skip long and the
+    # other met once, so none of its skips can come from the memo
+    assert 0 == second["transitive_replayed"] <= second["transitive_steps"]
+
+
 def test_residual_prints_and_reparses(syn, direct_run):
     from scpv.lang import parse_program, print_program, validate_program
 

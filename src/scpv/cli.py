@@ -51,9 +51,10 @@ def _write_trace(path, trace) -> None:
 
 
 def _add_limit_flags(p):
-    p.add_argument("--max-nodes", type=int, default=200_000)
-    p.add_argument("--max-depth", type=int, default=5_000)
-    p.add_argument("--time-budget-s", type=float, default=120.0)
+    d = Limits()
+    p.add_argument("--max-nodes", type=int, default=d.max_nodes)
+    p.add_argument("--max-depth", type=int, default=d.max_depth)
+    p.add_argument("--time-budget-s", type=float, default=d.time_budget_s)
     p.add_argument("--trace", default=None, help="write the event trace (JSON lines)")
 
 

@@ -199,12 +199,6 @@ class CountingProtocolSpec:
     events: list
     unsafe: list  # list of dicts counter -> k
 
-    def counter(self, name: str) -> CounterSpec:
-        for c in self.counters:
-            if c.name == name:
-                return c
-        raise LangError(f"unknown counter {name}")
-
 
 def parse_protocol_spec(text: str) -> CountingProtocolSpec:
     name = "protocol"

@@ -199,14 +199,8 @@ def rule_table(prog: Program, fname: str) -> tuple:
     return table
 
 
-def _walk_rules(table, args, pgen: ParamGen, warn=None):
-    """Ordered branch enumeration: list of (theta, kind, rule_idx, env)."""
-    out = []
-    _walk(table, tuple(args), {}, 0, pgen, warn, out)
-    return out
-
-
 def _walk(table, args, theta, start, pgen, warn, out):
+    """Ordered branch enumeration: append (theta, kind, rule_idx, env) to out."""
     # module-level rather than a closure, which would be rebuilt on every drive
     for ri in range(start, len(table)):
         env = {}
@@ -286,8 +280,10 @@ def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
             )
 
     table = rule_table(prog, top.fname)
+    walked = []
+    _walk(table, top.args, {}, 0, pgen, warn, walked)
     branches = []
-    for theta, kind, ri, env in _walk_rules(table, top.args, pgen, warn):
+    for theta, kind, ri, env in walked:
         if kind == "stuck":
             branches.append(Branch(theta, None, "stuck"))
         else:

@@ -22,7 +22,7 @@ from .config import (
     subst_seq,
 )
 from .corpus import int_entry_args, self_interpreter
-from .driving import Branch, StepResult, drive, is_renaming
+from .driving import StepResult, drive, is_renaming
 from .encoding import DecodeError, decode_expr
 from .interp import UNDEFINED, FuelExhausted, eval_call
 from .lang import (
@@ -97,7 +97,6 @@ class Node:
     fold_theta: Optional[dict] = None
     entry_subst: Optional[dict] = None  # set when generalization replaced this node
     dead: bool = False
-    complete: bool = False
     pending_children: int = 0
 
 
@@ -371,7 +370,6 @@ class Engine:
                 s.kind = "open"
                 s.fold_target = None
                 s.fold_theta = None
-                s.complete = False
                 self.trace.warn(f"fold source {sid} reopened, target {tid} removed")
                 self.tasks.append(sid)
 
@@ -389,7 +387,6 @@ class Engine:
     def _complete(self, node: Node) -> None:
         """Complete node, and each ancestor whose last pending child it was."""
         while True:
-            node.complete = True
             key = self.graph.shape_key(node.config)
             self.graph.by_shape.setdefault(key, []).append(node.id)
             if node.parent is None:
@@ -488,10 +485,9 @@ class Engine:
 
         After one skip the loop's state is the first successor ``start``
         alone, so a chain already driven from a renaming of ``start`` is
-        replayed (``_replay``) instead of driven again. A chain that warned
-        is not kept, so that its warnings come out on every visit, nor is
-        one that ends at ``start``: renaming its end costs about as much as
-        driving it.
+        replayed to its end (``_replay``), and only the end is driven. A
+        chain that ends at ``start`` is not kept: renaming its end costs
+        about as much as driving it.
         """
         res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
         start = None if protected else _skip_to(res, 0, config)
@@ -506,11 +502,14 @@ class Engine:
             key, params = _chain_key(start)
             chain = stored.get(key)
             if chain is not None:
-                return self._replay(chain, start, params)
-        base, now, warned = self.pgen.next_num, self.clock.now, len(self.trace.warnings)
+                config, skipped = self._replay(chain, start, params)
+                res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
+                return config, res, skipped
+        base, now = self.pgen.next_num, self.clock.now
         config = checkpoint = start
         skipped = 1
         while True:
+            fresh, ticks = self.pgen.next_num - base, self.clock.now - now
             res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
             succ = _skip_to(res, skipped, checkpoint)
             if succ is None:
@@ -521,7 +520,7 @@ class Engine:
             if skipped & (skipped - 1) == 0:
                 checkpoint = config
             self._check_budget()
-        if skipped > 1 and len(self.trace.warnings) == warned:
+        if skipped > 1:
             if key is None:
                 key, params = _chain_key(start)
             self.chains.setdefault(shape, {})[key] = (
@@ -530,79 +529,53 @@ class Engine:
                 base,
                 now,
                 config,
-                res,
                 skipped - 1,
-                self.pgen.next_num - base,
-                self.clock.now - now,
+                fresh,
+                ticks,
             )
         return config, res, skipped
 
     def _replay(self, chain: tuple, start: Configuration, params: tuple):
-        """The stored chain renamed to run from ``start``, whose parameters
-        by first occurrence are ``params``; the clock and the ParamGen
-        advance as the drives would have advanced them.
+        """The stored chain's end renamed to run from ``start``, whose
+        parameters by first occurrence are ``params``, and the skips; the
+        clock and the ParamGen advance as the drives before the end's did.
 
         ``chain`` holds, as driven from its first successor: the successor's
         parameters by first occurrence and its labels top first,
-        ``pgen.next_num`` and ``clock.now`` at the successor, the chain's end
-        and the drive of the end, the skips after the first, and how many
-        parameters and labels the chain took.
+        ``pgen.next_num`` and ``clock.now`` at the successor, the chain's
+        end, the skips after the first, and how many parameters and labels
+        the chain took before the end was driven.
 
         This is exact: ``drive`` reads labels only to copy them, compares
         parameters only for equality, and takes fresh labels and parameters
         only from ``clock.tick()`` and ``pgen.fresh()``, in order. So the
         successor's parameters and labels map by position, and the ones the
-        chain took map by their offset from where the supplies stood."""
-        old_params, old_labels, base, now, end, res, skips, fresh, ticks = chain
+        chain took map by their offset from where the supplies stood. Only
+        the end's drive, which the caller makes, can warn: a warning comes
+        with two branches, and they end a chain."""
+        old_params, old_labels, base, now, end, skips, fresh, ticks = chain
         pmap = dict(zip(old_params, params))
         lmap = dict(zip(old_labels, (e.time for e in start.stack)))
         pshift = self.pgen.next_num - base
         lshift = self.clock.now - now
 
-        def param(p):
-            q = pmap.get(p)
-            return Param(p.kind, p.num + pshift) if q is None else q
-
         def leaf(p):
-            return (param(p),)
+            q = pmap.get(p)
+            return (Param(p.kind, p.num + pshift) if q is None else q,)
 
         def seq(s):
             return map_items(s, HAS_PARAM, leaf)
 
-        def config(c):
-            return Configuration(
-                tuple(
-                    TimedApp(
-                        e.fname,
-                        tuple(seq(a) for a in e.args),
-                        lmap.get(e.time, e.time + lshift),
-                    )
-                    for e in c.stack
-                ),
-                seq(c.tail),
-            )
-
-        if res.kind == "passive":
-            res = StepResult("passive", value=seq(res.value))
-        else:
-            res = StepResult(
-                "branches",
-                branches=tuple(
-                    Branch(
-                        {param(p): seq(v) for p, v in b.contraction.items()},
-                        None if b.successor is None else config(b.successor),
-                        b.tag,
-                        tuple((param(p), config(c)) for p, c in b.deferred),
-                    )
-                    for b in res.branches
-                ),
-            )
         self.clock.now += ticks
         self.pgen.next_num += fresh
         self.trace.transitive_steps += skips
         self.trace.transitive_replayed += skips
         self._check_budget()
-        return config(end), res, skips + 1
+        stack = tuple(
+            TimedApp(e.fname, tuple(map(seq, e.args)), lmap.get(e.time, e.time + lshift))
+            for e in end.stack
+        )
+        return Configuration(stack, seq(end.tail)), skips + 1
 
     # -- node constructors ---------------------------------------------------
 
@@ -779,7 +752,6 @@ class Engine:
         c_node.entry_subst = context_entry
         anc.children = [(None, p_node.id), (connector, c_node.id)]
         anc.pending_children = 2
-        anc.complete = False
         self._enqueue_task(p_node)
         self._enqueue_task(c_node)
 
@@ -795,7 +767,6 @@ class Engine:
                 for p, v in theta1.items()
             }
         )
-        anc.complete = False
         anc.pending_children = 0
         self._retarget_folds(anc, theta1)
         self.agenda.append(anc.id)

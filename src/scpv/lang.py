@@ -629,20 +629,6 @@ def validate_program(prog: Program) -> list:
 # Printing
 
 
-def _print_item(it: Item) -> str:
-    if isinstance(it, Sym):
-        return f"'{it.name}'" if it.char else it.name
-    if isinstance(it, (Var, Param)):
-        return f"{it.kind}.{it.name if isinstance(it, Var) else it.num}"
-    if isinstance(it, Paren):
-        return f"({print_seq(it.items)})"
-    if isinstance(it, Call):
-        return f"{it.fname}({', '.join(print_seq(a) for a in it.args)})"
-    if isinstance(it, Bullet):
-        return "•"
-    raise TypeError(f"not an item: {it!r}")
-
-
 def _seq_valued(it: Item) -> bool:
     return isinstance(it, Call) or (isinstance(it, (Var, Param)) and it.kind == "e")
 
@@ -652,12 +638,12 @@ def print_seq(seq: Seq) -> str:
     (calls anywhere, e-variables except as the final tail)."""
     if not seq:
         return "[]"
-    parts = [_print_item(seq[0])]
+    parts = [repr(seq[0])]
     for i, it in enumerate(seq[1:], start=1):
         boundary = _seq_valued(seq[i - 1]) or (
             _seq_valued(it) and not (i == len(seq) - 1 and not isinstance(it, Call))
         )
-        parts.append((" ++ " if boundary else " ") + _print_item(it))
+        parts.append((" ++ " if boundary else " ") + repr(it))
     return "".join(parts)
 
 

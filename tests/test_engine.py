@@ -293,7 +293,8 @@ def test_chain_replay_matches_reference(indirect_starts):
 
 def test_chain_that_warns_warns_every_visit():
     # both F children skip through G into a parameter-parameter decision;
-    # a chain that warned is not replayed, so the warning comes out twice
+    # the second chain is replayed and its last configuration driven for
+    # real, so the warning comes out twice
     from scpv.lang import parse_program
 
     prog = parse_program(
@@ -307,6 +308,7 @@ def test_chain_that_warns_warns_every_visit():
     supercompile(prog, entry, Limits(time_budget_s=5), trace)
     assert trace.warnings == ["parameter-parameter symbol decision s.3=s.2"] * 2
     assert trace.transitive_steps == 4
+    assert trace.transitive_replayed == 1
 
 
 def test_chain_memo_counts_replayed_skips(syn):

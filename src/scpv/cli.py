@@ -11,6 +11,7 @@ from .encoding import decode_program, encode_program
 from .engine import (
     BudgetExceeded,
     Limits,
+    PropertyViolation,
     Trace,
     make_entry_config,
     parse_entry_config,
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except LangError as e:
+    except (LangError, PropertyViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except FileNotFoundError as e:

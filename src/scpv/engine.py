@@ -785,13 +785,20 @@ def supercompile(
     witness: Optional[WitnessSearch] = None,
 ):
     """Drive, fold and residualize one entry configuration; ``witness``
-    checks each passive leaf as it completes."""
+    checks each passive leaf as it completes. A residual that calls a
+    function it does not define, or with the wrong arity, raises
+    ``PropertyViolation``: no verdict may come from it."""
     limits = limits or Limits()
     trace = trace or Trace()
     eng = Engine(prog, limits, trace, witness)
     root_id = eng.run(entry)
     residual = build_residual(eng.graph, root_id, entry_name)
     residual = simplify_program(residual, entry_name)
+    for d in residual.defs.values():
+        for r in d.rules:
+            errors = call_errors(r.rhs, residual, d.name)
+            if errors:
+                raise PropertyViolation(f"unclosed residual: {errors[0].removeprefix('error: ')}")
     for name in residual.defs:
         trace.emit("ResidualFn", name=name, rules=len(residual.defs[name].rules))
     return residual, eng.graph, trace

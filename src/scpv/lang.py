@@ -13,15 +13,22 @@ Every item carries ``flags``, a bitmask of the kinds of item found at or
 below it (``HAS_CALL``, ``HAS_BULLET``, ``HAS_PARAM``, ``HAS_VAR``). Leaves
 have constant flags; ``Paren`` and ``Call`` derive theirs from their
 children once, at construction, so that walkers can return a subtree
-unchanged without entering it. The flags take no part in ``==``, ``hash``
-or printing. Invariant: items are built only through their constructors,
-never with ``object.__new__`` or by mutating a field, because that would
-leave ``flags`` stale.
+unchanged without entering it.
+
+The leaves ``Sym``, ``Var``, ``Param`` and ``Bullet`` are interned: their
+constructor returns the one object with the given fields (copying and
+unpickling go through it too), so leaf equality is identity and ``==`` and
+``hash`` on a leaf run in C. ``Paren`` and ``Call`` compare structurally and
+compute their hash once, on first use, into a slot. Neither ``flags`` nor the
+cached hash takes part in ``==`` or printing. Invariant: items are built only
+through their constructors, never with ``object.__new__``, and no field is
+ever assigned afterwards (assignment raises), because that would leave
+``flags`` or the cached hash stale and break interning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Union
 
 
@@ -45,79 +52,148 @@ HAS_PARAM = 4
 HAS_VAR = 8
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
+_set = object.__setattr__
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+
+class _Leaf:
+    """An interned item: the constructor returns the one object of its class
+    with the given fields, so ``==`` and ``hash`` are object identity."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __init_subclass__(cls):
+        cls._table = {}  # fields -> the one leaf with them
+
+    @classmethod
+    def _interned(cls, *fields):
+        it = cls._table.get(fields)
+        if it is None:
+            it = cls._table[fields] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                _set(it, name, value)
+        return it
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Sym(_Leaf):
     """A symbol: an identifier (``True``) or a character literal (``'a'``)."""
 
-    name: str
-    char: bool = False
+    __slots__ = ("name", "char")
     flags = 0
+
+    def __new__(cls, name: str, char: bool = False):
+        return cls._interned(name, char)
 
     def __repr__(self):
         return f"'{self.name}'" if self.char else self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Leaf):
     """A program variable, kind 's' (one symbol) or 'e' (any expression)."""
 
-    kind: str
-    name: str
+    __slots__ = ("kind", "name")
     flags = HAS_VAR
+
+    def __new__(cls, kind: str, name: str):
+        return cls._interned(kind, name)
 
     def __repr__(self):
         return f"{self.kind}.{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class Param:
+class Param(_Leaf):
     """A configuration parameter, globally numbered within one run."""
 
-    kind: str
-    num: int
+    __slots__ = ("kind", "num")
     flags = HAS_PARAM
+
+    def __new__(cls, kind: str, num: int):
+        return cls._interned(kind, num)
 
     def __repr__(self):
         return f"{self.kind}.{self.num}"
 
 
-@dataclass(frozen=True, slots=True)
 class Paren:
     """The unnamed tree constructor ``( ... )``."""
 
-    items: "Seq"
-    flags: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("items", "flags", "_hash")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        object.__setattr__(self, "flags", seq_flags(self.items))
+    def __init__(self, items: "Seq"):
+        _set(self, "items", items)
+        _set(self, "flags", seq_flags(items))
+        _set(self, "_hash", None)
+
+    def __eq__(self, other):
+        if type(other) is not Paren:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self.items)
+            _set(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # a copy hashes afresh: leaf hashes are identities, valid in one process
+        return Paren, (self.items,)
 
     def __repr__(self):
         return f"({print_seq(self.items)})"
 
 
-@dataclass(frozen=True, slots=True)
 class Call:
     """Function application; every argument is a sequence."""
 
-    fname: str
-    args: tuple
-    flags: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("fname", "args", "flags", "_hash")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
+    def __init__(self, fname: str, args: tuple):
+        _set(self, "fname", fname)
+        _set(self, "args", args)
         f = HAS_CALL
-        for a in self.args:
+        for a in args:
             f |= seq_flags(a)
-        object.__setattr__(self, "flags", f)
+        _set(self, "flags", f)
+        _set(self, "_hash", None)
+
+    def __eq__(self, other):
+        if type(other) is not Call:
+            return NotImplemented
+        return self.fname == other.fname and self.args == other.args
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.fname, self.args))
+            _set(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Call, (self.fname, self.args)
 
     def __repr__(self):
         return f"{self.fname}({', '.join(print_seq(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Bullet:
+class Bullet(_Leaf):
     """Placeholder threading a stack result through a configuration."""
 
+    __slots__ = ()
     flags = HAS_BULLET
+
+    def __new__(cls):
+        return cls._interned()
 
     def __repr__(self):
         return "•"

@@ -124,6 +124,58 @@ def test_entry_names_are_checked_against_the_model(model, argv, request, capsys)
     assert "error: error:" not in out.err
 
 
+# generated spec 4 (perfbench specgen, structure seed 3, names seed 1): in
+# indirect mode a fold binds a parameter to a sequence holding a call, so the
+# pass-1 residual calls Eval, which it does not define
+GEN4_SPEC = """\
+protocol gen3x4
+counter pending init param
+counter exclusive init zero
+counter owned init zero
+event grant
+  guard owned >= 1
+  alt
+  guard exclusive >= 1
+  update exclusive := exclusive + 1
+  update owned := owned
+event rh
+  guard pending >= 1
+  update pending := pending + owned
+  update exclusive := exclusive + 1
+  update owned := 0
+event ack
+  guard owned >= 1
+  update pending := pending + owned
+  update exclusive := exclusive + 1
+  update owned := 0
+event inv
+  guard pending >= 2
+  update pending := pending + 1
+  update owned := owned + 1
+event wh
+  guard owned >= 1
+  update pending := pending + 1
+  update owned := owned
+event rm
+  guard pending >= 1
+  update pending := pending
+  update owned := owned + 1
+unsafe owned >= 1, exclusive >= 1
+unsafe exclusive >= 1, owned >= 1
+unsafe exclusive >= 2
+"""
+
+
+def test_unclosed_residual_gives_no_verdict(tmp_path, capsys):
+    spec = tmp_path / "gen4.spec"
+    spec.write_text(GEN4_SPEC)
+    rc = main(["verify", str(spec), "--mode", "indirect", "--passes", "2"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: unclosed residual: call to undefined function Eval in F425\n"
+
+
 def test_supercompile_long_entry_ends_in_a_budget_exit(model_file, capsys):
     entry = "Main((" + "rm " * 1500 + "e.x) (" + "I " * 1500 + "e.y))"
     rc = main(["supercompile", model_file, "--entry", entry, "--max-nodes", "40"])

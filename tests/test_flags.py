@@ -198,6 +198,26 @@ def test_build_route_changes_neither_equality_nor_hash(seq):
         assert repr(it) == repr(direct)
 
 
+@walker_settings
+@given(seqs)
+def test_rebuilt_items_equal_and_hash_alike(seq):
+    copy = rebuild(seq)
+    assert copy == seq
+    pairs = [
+        (a, b)
+        for a, b in zip(iter_items(seq), iter_items(copy))
+        if isinstance(a, (Paren, Call))
+    ]
+    assert all(a is not b for a, b in pairs)
+    # the copy's hashes are computed outermost first, the original's
+    # innermost first; the second round reads them all from the cache
+    hash(copy)
+    for a, b in reversed(pairs):
+        assert hash(a) == hash(b)
+    for a, b in pairs:
+        assert hash(a) == hash(b)
+
+
 def test_flags_stay_out_of_equality_and_repr():
     p = Paren(parse_expr("F(s.x) 'a'") + (BULLET,))
     assert p.flags == HAS_CALL | HAS_VAR | HAS_BULLET

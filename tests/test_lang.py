@@ -1,9 +1,16 @@
+import copy
+import pickle
+
 import pytest
 
 from oracles import multiplicity
 from scpv.corpus import synapse_model, SYNAPSE_SRC, INT_SRC
 from scpv.lang import (
+    BULLET,
+    Bullet,
+    Call,
     LangError,
+    Param,
     Paren,
     Sym,
     Var,
@@ -125,3 +132,88 @@ def test_paren_pattern_tail_normalized():
     (rule,) = p.rules("Main")
     (pat,) = rule.lhs
     assert len(pat) == 2 and all(isinstance(t, Paren) for t in pat)
+
+
+# ---------------------------------------------------------------------------
+# Item invariants
+
+LEAF_ARGS = [
+    (Sym, ("a",)),
+    (Sym, ("a", True)),
+    (Var, ("e", "x")),
+    (Param, ("s", 3)),
+    (Bullet, ()),
+]
+LEAF_IDS = ["sym", "char", "var", "param", "bullet"]
+
+
+@pytest.mark.parametrize("cls, args", LEAF_ARGS, ids=LEAF_IDS)
+def test_equal_leaves_are_one_object(cls, args):
+    assert cls(*args) is cls(*args)
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+def test_leaf_fields_tell_leaves_apart():
+    assert Sym("a") is not Sym("a", char=True)
+    assert Sym("a", char=True) is Sym("a", True)
+    assert Var("s", "x") is not Var("e", "x")
+    assert Param("e", 1) is not Param("e", 2)
+    assert Bullet() is BULLET
+
+
+@pytest.mark.parametrize(
+    "it, field",
+    [
+        (Sym("a"), "name"),
+        (Var("e", "x"), "kind"),
+        (Param("s", 3), "num"),
+        (BULLET, "flags"),
+        (Paren((Sym("a"),)), "items"),
+        (Call("F", ((Var("e", "x"),),)), "flags"),
+    ],
+    ids=["sym", "var", "param", "bullet", "paren", "call"],
+)
+def test_items_are_immutable(it, field):
+    before = repr(it)
+    with pytest.raises(AttributeError):
+        setattr(it, field, None)
+    with pytest.raises(AttributeError):
+        delattr(it, field)
+    assert repr(it) == before
+
+
+@pytest.mark.parametrize("cls, args", LEAF_ARGS, ids=LEAF_IDS)
+def test_copies_of_a_leaf_are_the_leaf(cls, args):
+    it = cls(*args)
+    assert copy.copy(it) is it
+    assert copy.deepcopy(it) is it
+    assert pickle.loads(pickle.dumps(it)) is it
+
+
+def test_copies_of_a_composite_are_equal():
+    p = Paren((Sym("a"), Call("F", ((Var("e", "x"),), (BULLET,)))))
+    hash(p)
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+        assert q.flags == p.flags
+
+
+class CountedHash:
+    """An item whose every hash is counted."""
+
+    flags = 0
+    hashes = 0
+
+    def __hash__(self):
+        CountedHash.hashes += 1
+        return 7
+
+
+@pytest.mark.parametrize(
+    "make", [lambda x: Paren((x,)), lambda x: Call("F", ((x,),))], ids=["paren", "call"]
+)
+def test_composites_hash_once(make):
+    it = make(CountedHash())
+    CountedHash.hashes = 0
+    assert hash(it) == hash(it) == hash(it)
+    assert CountedHash.hashes == 1

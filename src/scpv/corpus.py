@@ -1,5 +1,6 @@
-"""In-repo programs: the self-interpreter, the Synapse N+1 model, an unsafe
-mutant for negative testing, and a counting-abstraction model generator."""
+"""The self-interpreter, and the generator that compiles a counting-abstraction
+protocol spec into a model program. The models themselves are files in
+``protocols/``."""
 
 from __future__ import annotations
 
@@ -91,60 +92,6 @@ Subst {
 }
 """
 
-SYNAPSE_SRC = """
--- Synapse N+1 cache coherence protocol, counting abstraction, unary counters.
-Main { (e.time) : (e.is) => Loop((e.time) : (Invalid I e.is) : (Dirty) : (Valid)); }
-
-Loop {
-  ([]) : (Invalid e.is) : (Dirty e.ds) : (Valid e.vs) =>
-      Test((Invalid e.is) : (Dirty e.ds) : (Valid e.vs));
-  (s.t : e.time) : (Invalid e.is) : (Dirty e.ds) : (Valid e.vs) =>
-      Loop((e.time) : Event(s.t : (Invalid e.is) : (Dirty e.ds) : (Valid e.vs)));
-}
-
-Event {
-  rm : (Invalid I e.is) : (Dirty e.ds) : (Valid e.vs) =>
-      (Invalid Append((e.ds) : (e.is))) : (Dirty) : (Valid I e.vs);
-  wh2 : (Invalid e.is) : (Dirty e.ds) : (Valid I e.vs) =>
-      (Invalid Append((e.vs) : (Append((e.ds) : (e.is))))) : (Dirty I) : (Valid);
-  wm : (Invalid I e.is) : (Dirty e.ds) : (Valid e.vs) =>
-      (Invalid Append((e.vs) : (Append((e.ds) : (e.is))))) : (Dirty I) : (Valid);
-}
-
-Append {
-  ([]) : (e.ys) => e.ys;
-  (s.x : e.xs) : (e.ys) => s.x : Append((e.xs) : (e.ys));
-}
-
-Test {
-  (Invalid e.is) : (Dirty I e.ds) : (Valid I e.vs) => False;
-  (Invalid e.is) : (Dirty I I e.ds) : (Valid e.vs) => False;
-  (Invalid e.is) : (Dirty e.ds) : (Valid e.vs) => True;
-}
-"""
-
-# wm keeps the Valid counter instead of resetting it: property (1) becomes
-# reachable, e.g. by the event stream rm wm with one extra processor
-SYNAPSE_UNSAFE_SRC = SYNAPSE_SRC.replace(
-    """  wm : (Invalid I e.is) : (Dirty e.ds) : (Valid e.vs) =>
-      (Invalid Append((e.vs) : (Append((e.ds) : (e.is))))) : (Dirty I) : (Valid);""",
-    """  wm : (Invalid I e.is) : (Dirty e.ds) : (Valid e.vs) =>
-      (Invalid Append((e.vs) : (Append((e.ds) : (e.is))))) : (Dirty I) : (Valid e.vs);""",
-)
-
-INTERPRETER_FUNCTIONS = (
-    "Int", "Eval", "EvalCall", "Matching", "Match", "PutVar", "PutV",
-    "CheckRepVar", "Eq", "ContEq", "LookFor", "Subst",
-)
-
-
-def synapse_model() -> Program:
-    return parse_program(SYNAPSE_SRC)
-
-
-def synapse_unsafe_mutant() -> Program:
-    return parse_program(SYNAPSE_UNSAFE_SRC)
-
 
 def self_interpreter(programs: dict) -> Program:
     """The interpreter plus a Prog dispatch over the given models, each
@@ -152,7 +99,7 @@ def self_interpreter(programs: dict) -> Program:
     prog = parse_program(INT_SRC, validate=False)
     rules = []
     for name, model in programs.items():
-        if name in INTERPRETER_FUNCTIONS or name == "Prog":
+        if name in prog.defs or name == "Prog":
             raise LangError(f"program name {name} collides with an interpreter function")
         (data,) = encode_program(model)
         rules.append(Rule(((Sym(name),),), data.items))
@@ -181,14 +128,11 @@ class CounterSpec:
 
 
 @dataclass
-class GuardRow:
-    bounds: dict  # counter -> k (conjunction of counter >= k)
-
-
-@dataclass
 class EventSpec:
     name: str
-    rows: list  # alternative GuardRows (disjunction)
+    # alternative guards (a disjunction), each a dict counter -> k that
+    # stands for the conjunction of counter >= k
+    rows: list
     updates: dict  # counter -> (constant, [counter refs]); absent = unchanged
 
 
@@ -218,13 +162,13 @@ def parse_protocol_spec(text: str) -> CountingProtocolSpec:
             init = words[words.index("init") + 1] if "init" in words else "zero"
             counters.append(CounterSpec(words[1], init == "param"))
         elif head == "event":
-            cur = EventSpec(words[1], [GuardRow({})], {})
+            cur = EventSpec(words[1], [{}], {})
             events.append(cur)
         elif head == "alt":
-            cur.rows.append(GuardRow({}))
+            cur.rows.append({})
         elif head == "guard":
             # guard <counter> >= <k>
-            cur.rows[-1].bounds[words[1]] = int(words[3])
+            cur.rows[-1][words[1]] = int(words[3])
         elif head == "update":
             # update <counter> := term + term + ...
             target = words[1]
@@ -256,7 +200,7 @@ def _validate_spec(spec: CountingProtocolSpec) -> None:
     names = {c.name for c in spec.counters}
     for ev in spec.events:
         for row in ev.rows:
-            for c, k in row.bounds.items():
+            for c, k in row.items():
                 if c not in names:
                     raise LangError(f"event {ev.name} guards unknown counter {c}")
                 if k not in (1, 2):
@@ -295,9 +239,7 @@ def _sum_expr(const: int, refs: list, evars: dict, param_name: str) -> Seq:
     return (I,) * const + inner
 
 
-def generate_model(
-    spec: CountingProtocolSpec, include_identity_events: bool = False
-) -> Program:
+def generate_model(spec: CountingProtocolSpec) -> Program:
     """Build a model program in the Main/Loop/Event/Append/Test shape."""
     evars = {c.name: Var("e", f"c{i}") for i, c in enumerate(spec.counters)}
     time_v = Var("e", "time")
@@ -353,10 +295,10 @@ def generate_model(
     )
     event_rules = []
     for ev in spec.events:
-        if not ev.updates and not include_identity_events:
+        if not ev.updates:
             continue
         for row in ev.rows:
-            pat = (Sym(ev.name),) + counters_pat(row.bounds)
+            pat = (Sym(ev.name),) + counters_pat(row)
             rhs_parts = []
             for c in spec.counters:
                 if c.name in ev.updates:
@@ -364,7 +306,7 @@ def generate_model(
                     body = _sum_expr(const, refs, evars, param.name)
                 else:
                     # unchanged: the guard-consumed items go back
-                    body = (I,) * row.bounds.get(c.name, 0) + (evars[c.name],)
+                    body = (I,) * row.get(c.name, 0) + (evars[c.name],)
                 rhs_parts.append(Paren((Sym(_tag(c)),) + body))
             event_rules.append(Rule((pat,), tuple(rhs_parts)))
     if not event_rules:
@@ -403,110 +345,3 @@ def generate_model(
     test_rules.append(Rule((counters_plain(),), (Sym("True"),)))
     test = FuncDef("Test", 1, tuple(test_rules))
     return Program([main, loop, event, append, test])
-
-
-SYNAPSE_SPEC_SRC = """
-protocol synapse
-counter invalid init param
-counter dirty init zero
-counter valid init zero
-
--- five external events; rh and wh1 have empty updates ("nothing happened")
-event rh
-  guard dirty >= 1
-  alt
-  guard valid >= 1
-
-event rm
-  guard invalid >= 1
-  update dirty := 0
-  update valid := valid + 1
-  update invalid := invalid + dirty
-
-event wh1
-  guard dirty >= 1
-
-event wh2
-  guard valid >= 1
-  update valid := 0
-  update dirty := 1
-  update invalid := invalid + dirty + valid
-
-event wm
-  guard invalid >= 1
-  update valid := 0
-  update dirty := 1
-  update invalid := invalid + dirty + valid
-
-unsafe dirty >= 1, valid >= 1
-unsafe dirty >= 2
-"""
-
-# Externally sourced transition tables (standard presentations of the MSI and
-# MESI protocols); shipped as data, not anchored to the verified corpus.
-MSI_SPEC_SRC = """
-protocol msi
-counter invalid init param
-counter modified init zero
-counter shared init zero
-
-event t1  -- read miss
-  guard invalid >= 1
-  update invalid := invalid + modified
-  update modified := 0
-  update shared := shared + 1
-
-event t2  -- write hit
-  guard shared >= 1
-  update invalid := invalid + shared + modified
-  update shared := 0
-  update modified := 1
-
-event t3  -- write miss
-  guard invalid >= 1
-  update invalid := invalid + shared + modified
-  update shared := 0
-  update modified := 1
-
-unsafe modified >= 1, shared >= 1
-unsafe modified >= 2
-"""
-
-MESI_SPEC_SRC = """
-protocol mesi
-counter invalid init param
-counter modified init zero
-counter exclusive init zero
-counter shared init zero
-
-event rm
-  guard invalid >= 1
-  update invalid := invalid
-  update shared := shared + exclusive + modified + 1
-  update exclusive := 0
-  update modified := 0
-
-event wh1
-  guard exclusive >= 1
-  update exclusive := exclusive
-  update modified := modified + 1
-
-event wh2
-  guard shared >= 1
-  update invalid := invalid + modified + exclusive + shared
-  update shared := 0
-  update exclusive := 1
-  update modified := 0
-
-event wm
-  guard invalid >= 1
-  update invalid := invalid + modified + exclusive + shared
-  update shared := 0
-  update exclusive := 1
-  update modified := 0
-
-unsafe modified >= 1, shared >= 1
-unsafe modified >= 2
-unsafe modified >= 1, exclusive >= 1
-unsafe exclusive >= 2
-"""

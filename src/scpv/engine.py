@@ -35,6 +35,7 @@ from .lang import (
     Seq,
     Sym,
     call_errors,
+    contains_call,
     is_ground,
     iter_items,
     map_items,
@@ -276,6 +277,16 @@ def _skip_to(res: StepResult, skipped: int, checkpoint: Configuration):
     return b.successor
 
 
+def _call_free_fold(target: Configuration, current: Configuration) -> Optional[dict]:
+    """``fold_instance``, refused when a binding holds a call: the residual
+    passes a fold's substitution as the arguments of its call, so a call
+    there would name a function that the residual does not define."""
+    theta = fold_instance(target, current)
+    if theta is None or any(contains_call(v) for v in theta.values()):
+        return None
+    return theta
+
+
 def _chain_key(c: Configuration):
     """c up to parameter renaming: its labels dropped and its parameters
     numbered by first occurrence; and those parameters, in that order."""
@@ -340,7 +351,7 @@ class Engine:
             root = self.graph.node(rid)
             if root.dead or rid == node.id:
                 continue
-            theta = fold_instance(root.config, node.config)
+            theta = _call_free_fold(root.config, node.config)
             if theta is not None:
                 self._fold(node, rid, theta)
                 return
@@ -634,7 +645,7 @@ class Engine:
     def _find_fold(self, node: Node):
         for aid in node.path:
             anc = self.graph.node(aid)
-            theta = fold_instance(anc.config, node.config)
+            theta = _call_free_fold(anc.config, node.config)
             if theta is not None:
                 return aid, theta
         for cand in self.graph.complete_candidates(node.config):
@@ -642,7 +653,7 @@ class Engine:
                 continue
             if cand.kind != "drive":
                 continue
-            theta = fold_instance(cand.config, node.config)
+            theta = _call_free_fold(cand.config, node.config)
             if theta is not None:
                 return cand.id, theta
         return None

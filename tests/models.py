@@ -1,0 +1,24 @@
+"""The models shipped in ``protocols/``, loaded the way the command line
+loads them."""
+
+import os
+
+from scpv.cli import _load_program
+from scpv.corpus import parse_protocol_spec
+
+PROTOCOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "protocols")
+
+
+def path(name: str) -> str:
+    return os.path.join(PROTOCOLS, name)
+
+
+def load(name: str):
+    """The program of ``protocols/<name>``: parsed, or generated from a spec."""
+    return _load_program(path(name))
+
+
+def spec(name: str):
+    """The parsed spec in ``protocols/<name>``."""
+    with open(path(name), encoding="utf-8") as f:
+        return parse_protocol_spec(f.read())

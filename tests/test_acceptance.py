@@ -10,21 +10,10 @@ import time
 
 import pytest
 
+import models
 from oracles import all_exprs, naive_embed, random_expr
 from scpv.cli import main as cli_main
-from scpv.corpus import (
-    MESI_SPEC_SRC,
-    MSI_SPEC_SRC,
-    SYNAPSE_SPEC_SRC,
-    SYNAPSE_SRC,
-    SYNAPSE_UNSAFE_SRC,
-    generate_model,
-    int_entry_args,
-    parse_protocol_spec,
-    self_interpreter,
-    synapse_model,
-    synapse_unsafe_mutant,
-)
+from scpv.corpus import int_entry_args, self_interpreter
 from scpv.encoding import encode_expr, encode_program, decode_program
 from scpv.engine import Limits, verify_protocol
 from scpv.interp import UNDEFINED, eval_call
@@ -39,21 +28,17 @@ def _report(criterion, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def syn():
-    return synapse_model()
+    return models.load("synapse.l")
 
 
 @pytest.fixture(scope="module")
-def model_file(tmp_path_factory):
-    p = tmp_path_factory.mktemp("acc") / "synapse.l"
-    p.write_text(SYNAPSE_SRC)
-    return str(p)
+def model_file():
+    return models.path("synapse.l")
 
 
 @pytest.fixture(scope="module")
-def mutant_file(tmp_path_factory):
-    p = tmp_path_factory.mktemp("acc") / "synapse_unsafe_mutant.l"
-    p.write_text(SYNAPSE_UNSAFE_SRC)
-    return str(p)
+def mutant_file():
+    return models.path("synapse_unsafe_mutant.l")
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +195,7 @@ def test_criterion_6_proposition_instrumentation(indirect_report):
 
 
 def test_criterion_7_negative_control(mutant_file, capsys):
-    mut = synapse_unsafe_mutant()
+    mut = models.load("synapse_unsafe_mutant.l")
     # the evaluator independently exhibits a ground stream reaching False
     witness = parse_expr("(rm wm) (I)")
     assert eval_call(mut, "Main", [witness]) == (Sym("False"),)
@@ -252,8 +237,8 @@ def test_criterion_8_transform_soundness(syn, indirect_report):
 
 def test_criterion_9_encoding(syn):
     ok = decode_program(encode_program(syn)) == syn
-    for src in (SYNAPSE_SPEC_SRC, MSI_SPEC_SRC, MESI_SPEC_SRC):
-        model = generate_model(parse_protocol_spec(src))
+    for name in ("synapse.spec", "msi.spec", "mesi.spec"):
+        model = models.load(name)
         ok = ok and decode_program(encode_program(model)) == model
     from oracles import random_program
 

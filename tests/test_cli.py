@@ -2,16 +2,14 @@ import json
 
 import pytest
 
+import models
 from scpv.cli import main
-from scpv.corpus import SYNAPSE_SRC, SYNAPSE_UNSAFE_SRC
 from scpv.lang import parse_program
 
 
 @pytest.fixture(scope="module")
-def model_file(tmp_path_factory):
-    p = tmp_path_factory.mktemp("models") / "synapse.l"
-    p.write_text(SYNAPSE_SRC)
-    return str(p)
+def model_file():
+    return models.path("synapse.l")
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +20,8 @@ def bad_model_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def mutant_file(tmp_path_factory):
-    p = tmp_path_factory.mktemp("models") / "synapse_unsafe_mutant.l"
-    p.write_text(SYNAPSE_UNSAFE_SRC)
-    return str(p)
+def mutant_file():
+    return models.path("synapse_unsafe_mutant.l")
 
 
 def test_run_value(model_file, capsys):
@@ -124,56 +120,18 @@ def test_entry_names_are_checked_against_the_model(model, argv, request, capsys)
     assert "error: error:" not in out.err
 
 
-# generated spec 4 (perfbench specgen, structure seed 3, names seed 1): in
-# indirect mode a fold binds a parameter to a sequence holding a call, so the
-# pass-1 residual calls Eval, which it does not define
-GEN4_SPEC = """\
-protocol gen3x4
-counter pending init param
-counter exclusive init zero
-counter owned init zero
-event grant
-  guard owned >= 1
-  alt
-  guard exclusive >= 1
-  update exclusive := exclusive + 1
-  update owned := owned
-event rh
-  guard pending >= 1
-  update pending := pending + owned
-  update exclusive := exclusive + 1
-  update owned := 0
-event ack
-  guard owned >= 1
-  update pending := pending + owned
-  update exclusive := exclusive + 1
-  update owned := 0
-event inv
-  guard pending >= 2
-  update pending := pending + 1
-  update owned := owned + 1
-event wh
-  guard owned >= 1
-  update pending := pending + 1
-  update owned := owned
-event rm
-  guard pending >= 1
-  update pending := pending
-  update owned := owned + 1
-unsafe owned >= 1, exclusive >= 1
-unsafe exclusive >= 1, owned >= 1
-unsafe exclusive >= 2
-"""
+def test_indirect_spec4_ends_in_a_verdict(tmp_path, capsys):
+    from test_engine import GEN4_SPEC
 
-
-def test_unclosed_residual_gives_no_verdict(tmp_path, capsys):
     spec = tmp_path / "gen4.spec"
     spec.write_text(GEN4_SPEC)
     rc = main(["verify", str(spec), "--mode", "indirect", "--passes", "2"])
-    assert rc == 1
+    assert rc == 3
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "error: unclosed residual: call to undefined function Eval in F425\n"
+    assert out.err == ""
+    rep = json.loads(out.out)
+    assert rep["safe"] is False and rep["witness"] is None
+    assert [p["nodes"] for p in rep["passes"]] == [411, 752]
 
 
 def test_supercompile_long_entry_ends_in_a_budget_exit(model_file, capsys):
@@ -231,12 +189,8 @@ def test_verify_indirect(model_file, tmp_path, capsys):
     assert parse_program(res.read_text()).defs
 
 
-def test_verify_spec_file(tmp_path, capsys):
-    from scpv.corpus import SYNAPSE_SPEC_SRC
-
-    p = tmp_path / "synapse.spec"
-    p.write_text(SYNAPSE_SPEC_SRC)
-    rc = main(["verify", str(p), "--mode", "direct"])
+def test_verify_spec_file(capsys):
+    rc = main(["verify", models.path("synapse.spec"), "--mode", "direct"])
     assert rc == 0
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import models
 from oracles import cat, eval_ground_expr, normalize, random_ground
 from scpv.config import (
     Clock,
@@ -13,7 +14,6 @@ from scpv.config import (
     decompose,
     subst_seq,
 )
-from scpv.corpus import synapse_model
 from scpv.encoding import encode_expr
 from scpv.lang import BULLET, Call, Paren, Param, Sym, parse_expr
 
@@ -42,7 +42,7 @@ def test_cons_is_concatenation():
 
 
 def test_ground_normalization_matches_evaluator():
-    syn = synapse_model()
+    syn = models.load("synapse.l")
     rnd = random.Random(9)
     for _ in range(1000):
         a = random_ground(rnd, rnd.randint(0, 5))
@@ -111,7 +111,7 @@ def test_third_match_rule_grows_stack_by_one():
     from scpv.driving import drive
     from scpv.corpus import self_interpreter
 
-    interp = self_interpreter({"Synapse": synapse_model()})
+    interp = self_interpreter({"Synapse": models.load("synapse.l")})
     arg1 = encode_expr(parse_expr("('a')"))
     arg2 = encode_expr(parse_expr("('a')"))
     cfg = Configuration(

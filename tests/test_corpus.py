@@ -2,26 +2,22 @@ import random
 
 import pytest
 
+import models
 from scpv.corpus import (
-    INTERPRETER_FUNCTIONS,
-    MESI_SPEC_SRC,
-    MSI_SPEC_SRC,
-    SYNAPSE_SPEC_SRC,
+    INT_SRC,
     generate_model,
     int_entry_args,
     parse_protocol_spec,
     self_interpreter,
-    synapse_model,
-    synapse_unsafe_mutant,
 )
 from scpv.encoding import encode_expr
 from scpv.interp import UNDEFINED, eval_call
-from scpv.lang import LangError, Paren, Sym, parse_expr, validate_program
+from scpv.lang import LangError, Paren, Sym, parse_expr, parse_program, validate_program
 
 
 @pytest.fixture(scope="module")
 def syn():
-    return synapse_model()
+    return models.load("synapse.l")
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +38,13 @@ def _random_malformed(rnd):
     return random_ground(rnd, rnd.randint(0, 5))
 
 
-def test_interpreter_functions_present(interp):
-    for f in INTERPRETER_FUNCTIONS:
-        assert f in interp.defs
-    assert "Prog" in interp.defs
+def test_interpreter_functions_present(syn, interp):
     assert not [d for d in validate_program(interp) if d.startswith("error")]
+    names = list(parse_program(INT_SRC, validate=False).defs) + ["Prog"]
+    assert set(names) == set(interp.defs)
+    for name in names:
+        with pytest.raises(LangError, match=f"program name {name} collides"):
+            self_interpreter({name: syn})
 
 
 def test_interpreter_fidelity_sampled(syn, interp):
@@ -93,14 +91,14 @@ def test_distinct_rules_have_distinct_rhs_rest_pairs(syn):
 
 
 def test_mutant_reaches_false(syn):
-    mut = synapse_unsafe_mutant()
+    mut = models.load("synapse_unsafe_mutant.l")
     d = parse_expr("(rm wm) (I)")
     assert eval_call(mut, "Main", [d]) == (Sym("False"),)
     assert eval_call(syn, "Main", [d]) == (Sym("True"),)
 
 
 def test_spec_parses():
-    spec = parse_protocol_spec(SYNAPSE_SPEC_SRC)
+    spec = models.spec("synapse.spec")
     assert spec.name == "synapse"
     assert [c.name for c in spec.counters] == ["invalid", "dirty", "valid"]
     assert [e.name for e in spec.events] == ["rh", "rm", "wh1", "wh2", "wm"]
@@ -108,7 +106,7 @@ def test_spec_parses():
 
 
 def test_generated_equals_handwritten(syn):
-    gen = generate_model(parse_protocol_spec(SYNAPSE_SPEC_SRC))
+    gen = models.load("synapse.spec")
     rnd = random.Random(55)
     for _ in range(500):
         d = _random_input(rnd, junk=True)
@@ -120,21 +118,8 @@ def test_generated_equals_handwritten(syn):
             assert a == b
 
 
-def test_identity_events_preserve_verdicts(syn):
-    gen = generate_model(parse_protocol_spec(SYNAPSE_SPEC_SRC), include_identity_events=True)
-    assert len(gen.rules("Event")) == len(synapse_model().rules("Event")) + 3
-    rnd = random.Random(56)
-    for _ in range(100):
-        t = " ".join(rnd.choice(["rm", "wh2", "wm"]) for _ in range(rnd.randint(0, 5)))
-        k = " ".join("I" for _ in range(rnd.randint(0, 3)))
-        d = parse_expr(f"({t}) ({k})")
-        a = eval_call(syn, "Main", [d])
-        b = eval_call(gen, "Main", [d])
-        assert (a is UNDEFINED and b is UNDEFINED) or a == b
-
-
 def test_generated_models_terminate():
-    gen = generate_model(parse_protocol_spec(SYNAPSE_SPEC_SRC))
+    gen = models.load("synapse.spec")
     rnd = random.Random(57)
     for _ in range(10_000):
         t = " ".join(rnd.choice(["rm", "wh2", "wm"]) for _ in range(rnd.randint(0, 6)))
@@ -156,8 +141,7 @@ def test_zero_event_spec():
 
 
 def test_unsafe_two_dirty_pattern():
-    spec = parse_protocol_spec(SYNAPSE_SPEC_SRC)
-    gen = generate_model(spec)
+    gen = models.load("synapse.spec")
     test_rules = gen.rules("Test")
     pat = test_rules[1].lhs[0]
     dirty = pat[1]
@@ -166,32 +150,6 @@ def test_unsafe_two_dirty_pattern():
 
 
 def test_external_specs_parse_and_run():
-    for src in (MSI_SPEC_SRC, MESI_SPEC_SRC):
-        model = generate_model(parse_protocol_spec(src))
+    for name in ("msi.spec", "mesi.spec"):
+        model = models.load(name)
         assert eval_call(model, "Main", [parse_expr("( ) ( )")]) == (Sym("True"),)
-
-
-def test_shipped_protocol_files_match_module_sources():
-    import os
-
-    from scpv.corpus import (
-        MESI_SPEC_SRC,
-        MSI_SPEC_SRC,
-        SYNAPSE_SPEC_SRC,
-        SYNAPSE_SRC,
-        SYNAPSE_UNSAFE_SRC,
-    )
-
-    root = os.path.join(os.path.dirname(__file__), "..", "protocols")
-    if not os.path.isdir(root):
-        pytest.skip("repo data files not present in this checkout")
-    pairs = [
-        ("synapse.l", SYNAPSE_SRC),
-        ("synapse_unsafe_mutant.l", SYNAPSE_UNSAFE_SRC),
-        ("synapse.spec", SYNAPSE_SPEC_SRC),
-        ("msi.spec", MSI_SPEC_SRC),
-        ("mesi.spec", MESI_SPEC_SRC),
-    ]
-    for fname, src in pairs:
-        with open(os.path.join(root, fname)) as f:
-            assert f.read().strip() == src.strip()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import models
 from oracles import (
     config_to_expr,
     eval_ground_expr,
@@ -11,7 +12,7 @@ from oracles import (
     random_ground,
 )
 from scpv.config import Clock, Configuration, ParamGen, TimedApp, subst_seq
-from scpv.corpus import self_interpreter, synapse_model
+from scpv.corpus import self_interpreter
 from scpv.driving import drive
 from scpv.encoding import encode_expr
 from scpv.interp import UNDEFINED, eval_call
@@ -20,7 +21,7 @@ from scpv.lang import BULLET, Paren, Param, Sym, Var, parse_expr
 
 @pytest.fixture(scope="module")
 def syn():
-    return synapse_model()
+    return models.load("synapse.l")
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+import models
 from oracles import random_program
-from scpv.corpus import synapse_model
 from scpv.encoding import (
     DecodeError,
     NotEncodable,
@@ -52,7 +52,7 @@ def test_cons_homomorphism():
 
 
 def test_synapse_roundtrip():
-    syn = synapse_model()
+    syn = models.load("synapse.l")
     assert decode_program(encode_program(syn)) == syn
 
 

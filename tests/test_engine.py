@@ -1,11 +1,11 @@
 import json
-import os
 import random
 
 import pytest
 
+import models
 from scpv.config import Configuration, TimedApp
-from scpv.corpus import self_interpreter, synapse_model, synapse_unsafe_mutant
+from scpv.corpus import self_interpreter
 from scpv.encoding import encode_expr
 from scpv.engine import (
     BudgetExceeded,
@@ -24,7 +24,7 @@ from scpv.lang import BULLET, Sym, iter_items, parse_expr
 
 @pytest.fixture(scope="module")
 def syn():
-    return synapse_model()
+    return models.load("synapse.l")
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ def test_trace_renders_the_same_text_on_every_read(syn):
 
 
 def test_mutant_unsafe_direct():
-    mut = synapse_unsafe_mutant()
+    mut = models.load("synapse_unsafe_mutant.l")
     rep = verify_protocol(mut, mode="direct", passes=1, limits=Limits(time_budget_s=60))
     assert rep["safe"] is False
     # the evaluator exhibits the concrete counterexample independently
@@ -410,10 +410,8 @@ def test_golden_first_generalization_and_foldings(syn):
 def test_external_protocols_best_effort():
     # the non-Synapse tables are externally sourced data; run them behind a
     # small budget without gating on their verdicts
-    from scpv.corpus import MESI_SPEC_SRC, MSI_SPEC_SRC, generate_model, parse_protocol_spec
-
-    for src in (MSI_SPEC_SRC, MESI_SPEC_SRC):
-        model = generate_model(parse_protocol_spec(src))
+    for name in ("msi.spec", "mesi.spec"):
+        model = models.load(name)
         try:
             rep = verify_protocol(
                 model, mode="direct", passes=1, limits=Limits(time_budget_s=20)
@@ -484,7 +482,7 @@ unsafe forward >= 2
 
 
 def test_unsafe_two_passes_stop_at_the_witness():
-    mut = synapse_unsafe_mutant()
+    mut = models.load("synapse_unsafe_mutant.l")
     rep = verify_protocol(mut, mode="direct", passes=2)
     assert rep["safe"] is False
     assert rep["passes_used"] == 1
@@ -498,10 +496,7 @@ def test_unsafe_two_passes_stop_at_the_witness():
 @pytest.mark.parametrize("mode", ["direct", "indirect"])
 @pytest.mark.parametrize("name", ["synapse.l", "msi.spec", "mesi.spec", "synapse.spec"])
 def test_safe_models_have_no_witness(name, mode):
-    from scpv.cli import _load_program
-
-    path = os.path.join(os.path.dirname(__file__), "..", "protocols", name)
-    rep = verify_protocol(_load_program(path), mode=mode, passes=1)
+    rep = verify_protocol(models.load(name), mode=mode, passes=1)
     assert rep["witness"] is None
     # indirect pass 1 keeps a spurious False; its candidates run and fail
     assert rep["safe"] is (mode == "direct")
@@ -544,7 +539,7 @@ def test_stopped_report_keeps_the_benchmark_keys():
     # on a witness must still carry them, or its calls count as failed
     from scpv.lang import Program
 
-    rep = verify_protocol(synapse_unsafe_mutant(), mode="direct", passes=2)
+    rep = verify_protocol(models.load("synapse_unsafe_mutant.l"), mode="direct", passes=2)
     assert rep["witness"] is not None
     assert rep["safe"] is False
     assert rep["passes_used"] == len(rep["passes"]) == 1
@@ -553,7 +548,7 @@ def test_stopped_report_keeps_the_benchmark_keys():
     # the pass stopped at the witness, so no pass completed
     assert rep["residual"] is None
     whole = verify_protocol(
-        synapse_unsafe_mutant(), mode="direct", passes=2, need_residual=True
+        models.load("synapse_unsafe_mutant.l"), mode="direct", passes=2, need_residual=True
     )
     assert isinstance(whole["residual"], Program)
     assert "MainRes" in whole["residual"].defs
@@ -679,8 +674,173 @@ def test_witness_from_a_leaf_a_generalization_later_kills():
 def test_need_residual_completes_the_pass_after_the_witness():
     from scpv.lang import Program
 
-    rep = verify_protocol(synapse_unsafe_mutant(), mode="direct", passes=1, need_residual=True)
+    rep = verify_protocol(models.load("synapse_unsafe_mutant.l"), mode="direct", passes=1, need_residual=True)
     assert rep["safe"] is False and rep["witness"] == "(rm wm) (I)"
     (p,) = rep["passes"]
     assert p["nodes"] == 90 and p["functions"] > 0
     assert isinstance(rep["residual"], Program) and "MainRes" in rep["residual"].defs
+
+
+# specs 4, 19, 23 and 32 of `python3 perfbench/specgen.py --seed 3 --count 40
+# --names-seed 1`, which with GEN39_SPEC are the specs whose indirect runs
+# built a residual that calls a function it does not define, while folds
+# could bind a parameter to a sequence holding a call
+GEN4_SPEC = """\
+protocol gen3x4
+counter pending init param
+counter exclusive init zero
+counter owned init zero
+event grant
+  guard owned >= 1
+  alt
+  guard exclusive >= 1
+  update exclusive := exclusive + 1
+  update owned := owned
+event rh
+  guard pending >= 1
+  update pending := pending + owned
+  update exclusive := exclusive + 1
+  update owned := 0
+event ack
+  guard owned >= 1
+  update pending := pending + owned
+  update exclusive := exclusive + 1
+  update owned := 0
+event inv
+  guard pending >= 2
+  update pending := pending + 1
+  update owned := owned + 1
+event wh
+  guard owned >= 1
+  update pending := pending + 1
+  update owned := owned
+event rm
+  guard pending >= 1
+  update pending := pending
+  update owned := owned + 1
+unsafe owned >= 1, exclusive >= 1
+unsafe exclusive >= 1, owned >= 1
+unsafe exclusive >= 2
+"""
+
+GEN19_SPEC = """\
+protocol gen3x19
+counter forward init param
+counter invalid init zero
+counter modified init zero
+counter dirty init zero
+event wh
+  guard forward >= 2
+  update forward := forward + 1 + modified + dirty
+  update invalid := invalid + 1
+  update modified := 0
+  update dirty := 0
+event upgrade
+  guard forward >= 1
+  update forward := forward + invalid
+  update invalid := 0
+  update modified := modified + 1
+event wm
+  guard dirty >= 1
+  update forward := forward + dirty
+  update invalid := invalid + 1
+  update dirty := 0
+unsafe invalid >= 1, modified >= 1
+unsafe modified >= 2
+"""
+
+GEN23_SPEC = """\
+protocol gen3x23
+counter modified init param
+counter pending init zero
+counter exclusive init zero
+event flush
+  guard modified >= 1
+  alt
+  guard pending >= 1
+  update modified := modified + pending
+  update pending := 0
+  update exclusive := exclusive + 1
+event rm
+  guard modified >= 1
+  update modified := modified
+  update exclusive := exclusive + 1
+event rh
+  guard exclusive >= 1
+  update modified := modified + 1
+  update exclusive := exclusive
+event inv
+  guard pending >= 1
+  update pending := pending
+  update exclusive := exclusive + 1
+event fetch
+  guard modified >= 1
+  update modified := modified
+  update pending := pending + 1
+unsafe exclusive >= 2
+"""
+
+GEN32_SPEC = """\
+protocol gen3x32
+counter forward init param
+counter pending init zero
+counter modified init zero
+counter dirty init zero
+event grant
+  guard modified >= 1
+  update forward := forward + 1 + modified + dirty
+  update modified := 0
+  update dirty := 0
+event rm
+  guard modified >= 2
+  alt
+  guard forward >= 1
+  update forward := forward + 1 + 1 + modified + dirty
+  update modified := 0
+  update dirty := 0
+event upgrade
+  guard modified >= 1
+  update modified := modified
+  update dirty := dirty + 1
+event rh
+  guard dirty >= 1
+  update modified := modified + 1
+  update dirty := dirty
+event put
+  guard dirty >= 2
+  update forward := forward + pending
+  update pending := 0
+  update modified := modified + 1
+  update dirty := dirty + 1
+event flush
+  guard forward >= 1
+  update forward := forward + pending
+  update pending := 0
+  update modified := modified + 1
+unsafe modified >= 1, pending >= 1
+"""
+
+
+
+def test_indirect_folds_on_generated_specs_keep_residuals_closed():
+    specs = {4: GEN4_SPEC, 19: GEN19_SPEC, 23: GEN23_SPEC, 32: GEN32_SPEC, 39: GEN39_SPEC}
+    limits = Limits(max_nodes=1_000)
+    for i, text in specs.items():
+        model = _spec_model(text)
+        verdicts = {}
+        for mode in ("direct", "indirect"):
+            try:
+                rep = verify_protocol(model, mode=mode, passes=2, limits=limits)
+            except BudgetExceeded:
+                continue
+            verdicts[mode] = rep["safe"], rep["witness"]
+            if rep["witness"] is not None:
+                witness = [parse_expr(rep["witness"])]
+                assert eval_call(model, "Main", witness) == (Sym("False"),), (i, mode)
+        if i in (4, 19, 39):
+            safe, witness = verdicts["direct"]
+            assert safe is False and witness is not None, i
+        if i == 23:
+            assert verdicts["indirect"] == (False, "(flush rm) (I)")
+        if len(verdicts) == 2:
+            assert verdicts["direct"][0] == verdicts["indirect"][0], i

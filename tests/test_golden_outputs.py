@@ -12,14 +12,7 @@ import hashlib
 
 import pytest
 
-from scpv.corpus import (
-    MESI_SPEC_SRC,
-    MSI_SPEC_SRC,
-    generate_model,
-    parse_protocol_spec,
-    synapse_model,
-    synapse_unsafe_mutant,
-)
+import models
 from scpv.engine import verify_protocol
 from scpv.lang import print_program
 
@@ -62,14 +55,6 @@ GOLDEN = {
 # a confirmed counterexample ends the run after its pass
 WITNESS_PASS = {("synapse_unsafe_mutant.l", "direct", 2): 1}
 
-MODELS = {
-    "synapse.l": synapse_model,
-    "msi.spec": lambda: generate_model(parse_protocol_spec(MSI_SPEC_SRC)),
-    "mesi.spec": lambda: generate_model(parse_protocol_spec(MESI_SPEC_SRC)),
-    "synapse_unsafe_mutant.l": synapse_unsafe_mutant,
-}
-
-
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -80,7 +65,7 @@ def test_outputs_match_golden_digests(case):
     want_residual, want_trace = GOLDEN[case]
     # need_residual: a pass that confirms a witness still completes, so the
     # mutant's recorded residual is built
-    report = verify_protocol(MODELS[name](), mode=mode, passes=passes, need_residual=True)
+    report = verify_protocol(models.load(name), mode=mode, passes=passes, need_residual=True)
     assert report["passes_used"] == WITNESS_PASS.get(case, passes)
     assert sha256(print_program(report["residual"])) == want_residual
     assert sha256(report["trace"].to_jsonl()) == want_trace

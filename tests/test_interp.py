@@ -2,15 +2,15 @@ import random
 
 import pytest
 
+import models
 from oracles import match_ground
-from scpv.corpus import synapse_model
 from scpv.interp import FuelExhausted, UNDEFINED, eval_call
 from scpv.lang import Sym, Var, parse_expr, parse_program
 
 
 @pytest.fixture(scope="module")
 def syn():
-    return synapse_model()
+    return models.load("synapse.l")
 
 
 def test_test_empty_dirty_true(syn):

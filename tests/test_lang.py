@@ -3,8 +3,9 @@ import pickle
 
 import pytest
 
+import models
 from oracles import multiplicity
-from scpv.corpus import synapse_model, SYNAPSE_SRC, INT_SRC
+from scpv.corpus import INT_SRC
 from scpv.lang import (
     BULLET,
     Bullet,
@@ -70,8 +71,7 @@ def test_mid_evar_pattern_rejected():
 
 
 def test_roundtrip_corpus():
-    for src in (SYNAPSE_SRC, INT_SRC):
-        p = parse_program(src, validate=False)
+    for p in (models.load("synapse.l"), parse_program(INT_SRC, validate=False)):
         assert parse_program(print_program(p), validate=False) == p
 
 
@@ -99,7 +99,7 @@ def test_multiplicity_nil_zero():
 
 def test_fig2_patterns_linear():
     # every variable occurs at most once in every Synapse pattern
-    syn = synapse_model()
+    syn = models.load("synapse.l")
     for d in syn.defs.values():
         for r in d.rules:
             for pat in r.lhs:

@@ -9,18 +9,10 @@ table's pre-decomposition against decomposing after instantiation.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import models
 from oracles import _random_pattern, ref_inst_seq, ref_match_rule, ref_pattern_instance
 from scpv.config import decompose_expr
-from scpv.corpus import (
-    MESI_SPEC_SRC,
-    MSI_SPEC_SRC,
-    SYNAPSE_SPEC_SRC,
-    generate_model,
-    parse_protocol_spec,
-    self_interpreter,
-    synapse_model,
-    synapse_unsafe_mutant,
-)
+from scpv.corpus import self_interpreter
 from scpv.driving import FAIL, NotSupported, _match_rule, _subst_vars, rule_table
 from scpv.lang import (
     BULLET,
@@ -151,10 +143,9 @@ def test_matcher_agrees_with_reference(lhs, shape, data):
 
 
 def _shipped_programs():
-    specs = (MSI_SPEC_SRC, MESI_SPEC_SRC, SYNAPSE_SPEC_SRC)
-    models = [synapse_model(), synapse_unsafe_mutant()]
-    models += [generate_model(parse_protocol_spec(src)) for src in specs]
-    return [self_interpreter({"Synapse": models[0]})] + models
+    names = ("synapse.l", "synapse_unsafe_mutant.l", "msi.spec", "mesi.spec", "synapse.spec")
+    progs = [models.load(name) for name in names]
+    return [self_interpreter({"Synapse": progs[0]})] + progs
 
 
 ALL_RULES = [

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import models
 from oracles import all_exprs, naive_embed, random_expr
 from scpv.config import Clock, Configuration, ParamGen, TimedApp
 from scpv.lang import BULLET, Call, Paren, Param, Sym, Var, parse_expr
@@ -308,11 +309,10 @@ def test_well_disordering_budget_on_corpus_paths():
     # direct model reaches a whistle pair (or terminates) within the step
     # budget standing in for the infinite-path theorem
     from scpv.config import Clock, ParamGen
-    from scpv.corpus import synapse_model
     from scpv.driving import drive, is_renaming
     from scpv.engine import make_entry_config
 
-    syn = synapse_model()
+    syn = models.load("synapse.l")
     entry = make_entry_config(syn, "Main")
     clock, pgen = Clock(), ParamGen()
     budget = 10_000

@@ -8,7 +8,8 @@ supporting clocks live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import is_
+
 from .lang import (
     BULLET,
     HAS_BULLET,
@@ -17,11 +18,14 @@ from .lang import (
     Call,
     Param,
     Paren,
+    Record,
     Seq,
     bullet_count,
     contains_call,
     map_items,
     print_seq,
+    seq_flags,
+    slot_setters,
 )
 
 
@@ -48,26 +52,39 @@ class ParamGen:
         return p
 
 
-@dataclass(frozen=True)
-class TimedApp:
-    fname: str
-    args: tuple
-    time: int
+class TimedApp(Record):
+    """An application ``fname(args)`` on a configuration's stack, labelled
+    with the time it was created at."""
+
+    __slots__ = ("fname", "args", "time")
+
+    def __init__(self, fname: str, args: tuple, time: int):
+        _app_fname(self, fname)
+        _app_args(self, args)
+        _app_time(self, time)
 
     def __repr__(self):
         inner = ", ".join(print_seq(a) for a in self.args)
         return f"{self.fname}@{self.time}({inner})"
 
 
-@dataclass(frozen=True)
-class Configuration:
-    stack: tuple  # TimedApp entries, top first
-    tail: Seq
+class Configuration(Record):
+    """A stack of ``TimedApp`` entries, top first, over a passive tail."""
+
+    __slots__ = ("stack", "tail")
+
+    def __init__(self, stack: tuple, tail: Seq):
+        _config_stack(self, stack)
+        _config_tail(self, tail)
 
     def __repr__(self):
         parts = [repr(e) for e in self.stack]
         parts.append(print_seq(self.tail))
         return ", ".join(parts)
+
+
+_app_fname, _app_args, _app_time = slot_setters(TimedApp)
+_config_stack, _config_tail = slot_setters(Configuration)
 
 
 def check_config(c: Configuration) -> None:
@@ -91,32 +108,53 @@ def check_config(c: Configuration) -> None:
 
 
 def subst_seq(seq: Seq, theta: dict) -> Seq:
-    """Apply a parameter substitution; e-parameters splice their sequences."""
+    """Apply a parameter substitution; e-parameters splice their sequences.
+
+    What the substitution leaves unchanged comes back as the same object: a
+    paren or call that holds no parameter of the domain (``params``), and a
+    sequence in which no item changed."""
     if not theta:
         return seq
-
-    def leaf(p):
-        rep = theta.get(p)
-        if rep is None:
-            return (p,)
-        if p.kind == "s" and len(rep) != 1:
-            raise ValueError(f"s-parameter {p!r} bound to a sequence")
-        return rep
-
-    return map_items(seq, HAS_PARAM, leaf)
+    out = None  # the items so far, once one has changed
+    for i, it in enumerate(seq):
+        new = None  # the items that replace it, when it changes
+        if it.flags & HAS_PARAM:
+            t = type(it)
+            if t is Param:
+                new = theta.get(it)
+                if new is not None and it.kind == "s" and len(new) != 1:
+                    raise ValueError(f"s-parameter {it!r} bound to a sequence")
+            elif not it.params().isdisjoint(theta):
+                if t is Paren:
+                    items = subst_seq(it.items, theta)
+                    if items is not it.items:
+                        new = (Paren(items),)
+                else:
+                    args = tuple([subst_seq(a, theta) for a in it.args])
+                    if not all(map(is_, args, it.args)):
+                        new = (Call(it.fname, args),)
+        if new is not None:
+            if out is None:
+                out = list(seq[:i])
+            out.extend(new)
+        elif out is not None:
+            out.append(it)
+    return seq if out is None else tuple(out)
 
 
 def subst_app(app: TimedApp, theta: dict) -> TimedApp:
+    """The entry under theta; the entry itself when no argument changed."""
     if not theta:
         return app
-    return TimedApp(app.fname, tuple(subst_seq(a, theta) for a in app.args), app.time)
+    args = tuple([subst_seq(a, theta) for a in app.args])
+    return app if all(map(is_, args, app.args)) else TimedApp(app.fname, args, app.time)
 
 
 def subst_config(c: Configuration, theta: dict) -> Configuration:
     if not theta:
         return c
     return Configuration(
-        tuple(subst_app(e, theta) for e in c.stack), subst_seq(c.tail, theta)
+        tuple([subst_app(e, theta) for e in c.stack]), subst_seq(c.tail, theta)
     )
 
 
@@ -134,8 +172,15 @@ def replace_bullet(seq: Seq, value: Seq) -> Seq:
 
 
 def plug_app(app: TimedApp, value: Seq) -> TimedApp:
-    """Fill the entry's bullet; the label is kept, this is the same application."""
-    return TimedApp(app.fname, tuple(replace_bullet(a, value) for a in app.args), app.time)
+    """Fill the entry's bullet; the label is kept, this is the same application.
+    Only the argument that holds the bullet is rebuilt (``check_config``: an
+    entry below the top holds one)."""
+    args = app.args
+    for k, a in enumerate(args):
+        if seq_flags(a) & HAS_BULLET:
+            filled = args[:k] + (replace_bullet(a, value),) + args[k + 1 :]
+            return TimedApp(app.fname, filled, app.time)
+    return app
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +243,10 @@ def timed_chain(chain, clock: Clock, args=None):
     ``args``, when given, maps each application's arguments on the way."""
     times = [clock.tick() for _ in chain]
     # chain is innermost-first; the outermost gets the earliest label
-    return tuple(
+    return tuple([
         TimedApp(c.fname, c.args if args is None else args(c.args), t)
         for c, t in zip(chain, reversed(times))
-    )
+    ])
 
 
 def decompose(seq: Seq, clock: Clock, pgen: ParamGen):

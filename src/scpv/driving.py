@@ -9,7 +9,6 @@ needs to be recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .config import (
@@ -33,12 +32,14 @@ from .lang import (
     Paren,
     Param,
     Program,
+    Record,
     Seq,
     Sym,
     Var,
     contains_call,
     is_ground,
     map_items,
+    slot_setters,
 )
 
 
@@ -46,19 +47,38 @@ class NotSupported(Exception):
     """The driver refuses patterns outside the fragment it can narrow."""
 
 
-@dataclass(frozen=True)
-class Branch:
-    contraction: dict
-    successor: Optional[Configuration]  # None for abnormal (stuck) cases
-    tag: str  # 'fired' | 'stuck' | 'decompose'
-    deferred: tuple = ()  # (param, Configuration) continuations from tail splits
+class Branch(Record):
+    """One case of a drive step: its contraction, and the successor, which
+    is None for abnormal (stuck) cases; ``tag`` is 'fired', 'stuck' or
+    'decompose'; ``deferred`` holds the (param, Configuration) continuations
+    from tail splits."""
+
+    __slots__ = ("contraction", "successor", "tag", "deferred")
+
+    def __init__(self, contraction: dict, successor: Optional[Configuration],
+                 tag: str, deferred: tuple = ()):
+        _branch_contraction(self, contraction)
+        _branch_successor(self, successor)
+        _branch_tag(self, tag)
+        _branch_deferred(self, deferred)
 
 
-@dataclass(frozen=True)
-class StepResult:
-    kind: str  # 'branches' | 'passive'
-    branches: tuple = ()
-    value: Seq = ()
+class StepResult(Record):
+    """A drive step's outcome: ``kind`` 'branches', with ``branches``, or
+    'passive', with the passive ``value``."""
+
+    __slots__ = ("kind", "branches", "value")
+
+    def __init__(self, kind: str, branches: tuple = (), value: Seq = ()):
+        _step_kind(self, kind)
+        _step_branches(self, branches)
+        _step_value(self, value)
+
+
+_branch_contraction, _branch_successor, _branch_tag, _branch_deferred = (
+    slot_setters(Branch)
+)
+_step_kind, _step_branches, _step_value = slot_setters(StepResult)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +234,7 @@ def _walk(table, args, theta, start, pgen, warn, out):
             for case in _shape_cases(req[1], pgen):
                 _walk(
                     table,
-                    tuple(subst_seq(a, case) for a in args),
+                    tuple([subst_seq(a, case) for a in args]),
                     compose_subst(theta, case),
                     ri, pgen, warn, out,
                 )
@@ -226,7 +246,7 @@ def _walk(table, args, theta, start, pgen, warn, out):
             case = {sparam: (item,)}
             _walk(
                 table,
-                tuple(subst_seq(a, case) for a in args),
+                tuple([subst_seq(a, case) for a in args]),
                 compose_subst(theta, case),
                 ri, pgen, warn, out,
             )
@@ -244,10 +264,10 @@ def _fire_successor(config: Configuration, theta: dict, rule: tuple, env: dict,
     if len(stack) > 1:
         below, tail = stack[1:], config.tail
         if theta:
-            below = tuple(subst_app(e, theta) for e in below)
+            below = tuple([subst_app(e, theta) for e in below])
             tail = subst_seq(tail, theta)
         entries = timed_chain(
-            chain, clock, lambda args: tuple(_subst_vars(a, env) for a in args)
+            chain, clock, lambda args: tuple([_subst_vars(a, env) for a in args])
         )
         plugged = plug_app(below[0], _subst_vars(ctx, env))
         return Configuration(entries + (plugged,) + below[1:], tail), ()

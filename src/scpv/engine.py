@@ -136,9 +136,11 @@ class ProcessGraph:
 class Trace:
     """Deterministic event log; serializes to JSON lines, schema v1.
 
-    ``emit`` stores configurations as they are (they are frozen); their text
-    is printed once, when ``events`` or ``to_jsonl`` first reads the event,
-    so a run that writes no trace prints no configuration.
+    ``emit`` stores configurations, substitutions (dicts) and drive branches
+    as they are; their text is printed once, when ``events`` or ``to_jsonl``
+    first reads the event (``_printed``), so a run that writes no trace
+    prints no configuration and no substitution. Configurations and
+    branches are frozen, and no substitution is changed once made.
     """
 
     def __init__(self, instrument: bool = False):
@@ -164,11 +166,11 @@ class Trace:
 
     @property
     def events(self) -> list[dict]:
-        """The event records, with every configuration printed."""
+        """The event records, with every configuration, substitution and
+        drive branch printed."""
         for rec in self._events[self._rendered :]:
-            rec.update(
-                [(k, repr(v)) for k, v in rec.items() if isinstance(v, Configuration)]
-            )
+            for k, v in rec.items():
+                rec[k] = _printed(v)
         self._rendered = len(self._events)
         return self._events
 
@@ -181,6 +183,19 @@ class Trace:
 
 def _theta_str(theta: dict) -> dict:
     return {repr(p): print_seq(v) for p, v in theta.items()}
+
+
+def _printed(v):
+    """The JSON form of an event field as ``Trace.emit`` stored it: a
+    configuration, a substitution, or a drive's tuple of branches."""
+    t = type(v)
+    if t is Configuration:
+        return repr(v)
+    if t is dict:
+        return _theta_str(v)
+    if t is tuple:
+        return [{"theta": _theta_str(b.contraction), "tag": b.tag} for b in v]
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +390,29 @@ class Engine:
         self.agenda = [a for a in self.agenda if not self.graph.node(a).dead]
         for tid in killed:
             for sid in self.graph.fold_sources.pop(tid, ()):
-                s = self.graph.node(sid)
-                if s.dead:
-                    continue
-                s.kind = "open"
-                s.fold_target = None
-                s.fold_theta = None
-                self.trace.warn(f"fold source {sid} reopened, target {tid} removed")
-                self.tasks.append(sid)
+                self._reopen(sid, f"target {tid} removed")
+
+    def _reopen(self, sid: int, why: str) -> None:
+        """Undo the fold of a surviving source and queue it as a task."""
+        s = self.graph.node(sid)
+        if s.dead:
+            return
+        s.kind = "open"
+        s.fold_target = None
+        s.fold_theta = None
+        self.trace.warn(f"fold source {sid} reopened, {why}")
+        self.tasks.append(sid)
 
     def _retarget_folds(self, target: Node, theta1: dict) -> None:
         """After a generalization the target is more general; existing fold
-        substitutions compose with the generalization witness."""
+        substitutions compose with the generalization witness. Where the
+        witness binds a subterm that holds a call, every composition would
+        hold it (``_call_free_fold`` would refuse such a fold), so the
+        sources are reopened instead."""
+        if any(contains_call(v) for v in theta1.values()):
+            for sid in self.graph.fold_sources.pop(target.id, ()):
+                self._reopen(sid, f"a call in the generalization of {target.id}")
+            return
         for sid in self.graph.fold_sources.get(target.id, ()):
             s = self.graph.node(sid)
             if s.dead:
@@ -596,10 +622,7 @@ class Engine:
             "Drive",
             node=node.id,
             config=node.config,
-            branches=[
-                {"theta": _theta_str(b.contraction), "tag": b.tag}
-                for b in branches
-            ],
+            branches=branches,
         )
         # a stuck leaf or a task split is an empty placeholder on the
         # node's own path; any other branch is driven below the node
@@ -668,7 +691,7 @@ class Engine:
         source.fold_theta = theta
         self.graph.fold_sources.setdefault(target_id, []).append(source.id)
         self.trace.emit(
-            "Fold", node=source.id, target=target_id, theta=_theta_str(theta)
+            "Fold", node=source.id, target=target_id, theta=theta
         )
         _check_action(self.trace, "fold", target, source.config)
         if (
@@ -717,8 +740,8 @@ class Engine:
             node=node.id,
             ancestor=anc_id,
             gen=g.gen,
-            theta1=_theta_str(g.theta1),
-            theta2=_theta_str(g.theta2),
+            theta1=g.theta1,
+            theta2=g.theta2,
         )
         self._restart(anc, g.gen, g.theta1)
         return True

@@ -19,8 +19,9 @@ The leaves ``Sym``, ``Var``, ``Param`` and ``Bullet`` are interned: their
 constructor returns the one object with the given fields (copying and
 unpickling go through it too), so leaf equality is identity and ``==`` and
 ``hash`` on a leaf run in C. ``Paren`` and ``Call`` compare structurally and
-compute their hash once, on first use, into a slot. Neither ``flags`` nor the
-cached hash takes part in ``==`` or printing. Invariant: items are built only
+compute their hash, and the frozenset of the parameters below them
+(``params``), once, on first use, into a slot. Neither ``flags`` nor the
+cached values take part in ``==`` or printing. Invariant: items are built only
 through their constructors, never with ``object.__new__``, and no field is
 ever assigned afterwards (assignment raises), because that would leave
 ``flags`` or the cached hash stale and break interning.
@@ -29,6 +30,7 @@ ever assigned afterwards (assignment raises), because that would leave
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 
@@ -57,6 +59,40 @@ _set = object.__setattr__
 
 def _frozen(self, name, *value):
     raise FrozenInstanceError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+
+class Record:
+    """A frozen record with slots, the fields being ``__slots__``: ``==``,
+    ``hash``, ``repr``, copying and pickling behave as for a frozen
+    dataclass with those fields. A subclass's ``__init__`` stores each field
+    through the setters that ``slot_setters`` fetches once, since assignment
+    raises."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def slot_setters(cls) -> tuple:
+    """The ``__set__`` of each of ``cls.__slots__``, in order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class _Leaf:
@@ -124,13 +160,17 @@ class Param(_Leaf):
 class Paren:
     """The unnamed tree constructor ``( ... )``."""
 
-    __slots__ = ("items", "flags", "_hash")
+    __slots__ = ("items", "flags", "_hash", "_params")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, items: "Seq"):
-        _set(self, "items", items)
-        _set(self, "flags", seq_flags(items))
-        _set(self, "_hash", None)
+        _paren_items(self, items)
+        f = 0
+        for it in items:
+            f |= it.flags
+        _paren_flags(self, f)
+        _paren_hash(self, None)
+        _paren_params(self, None)
 
     def __eq__(self, other):
         if type(other) is not Paren:
@@ -141,8 +181,16 @@ class Paren:
         h = self._hash
         if h is None:
             h = hash(self.items)
-            _set(self, "_hash", h)
+            _paren_hash(self, h)
         return h
+
+    def params(self) -> frozenset:
+        """The parameters at or below this paren, computed on first use."""
+        ps = self._params
+        if ps is None:
+            ps = _params_in((self.items,))
+            _paren_params(self, ps)
+        return ps
 
     def __reduce__(self):
         # a copy hashes afresh: leaf hashes are identities, valid in one process
@@ -155,17 +203,19 @@ class Paren:
 class Call:
     """Function application; every argument is a sequence."""
 
-    __slots__ = ("fname", "args", "flags", "_hash")
+    __slots__ = ("fname", "args", "flags", "_hash", "_params")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, fname: str, args: tuple):
-        _set(self, "fname", fname)
-        _set(self, "args", args)
+        _call_fname(self, fname)
+        _call_args(self, args)
         f = HAS_CALL
         for a in args:
-            f |= seq_flags(a)
-        _set(self, "flags", f)
-        _set(self, "_hash", None)
+            for it in a:
+                f |= it.flags
+        _call_flags(self, f)
+        _call_hash(self, None)
+        _call_params(self, None)
 
     def __eq__(self, other):
         if type(other) is not Call:
@@ -176,14 +226,39 @@ class Call:
         h = self._hash
         if h is None:
             h = hash((self.fname, self.args))
-            _set(self, "_hash", h)
+            _call_hash(self, h)
         return h
+
+    def params(self) -> frozenset:
+        """The parameters in this call's arguments, computed on first use."""
+        ps = self._params
+        if ps is None:
+            ps = _params_in(self.args)
+            _call_params(self, ps)
+        return ps
 
     def __reduce__(self):
         return Call, (self.fname, self.args)
 
     def __repr__(self):
         return f"{self.fname}({', '.join(print_seq(a) for a in self.args)})"
+
+
+# the slots' own setters, fetched once: assignment raises, so constructors
+# store their fields through these
+_paren_items, _paren_flags, _paren_hash, _paren_params = slot_setters(Paren)
+_call_fname, _call_args, _call_flags, _call_hash, _call_params = slot_setters(Call)
+
+
+def _params_in(seqs) -> frozenset:
+    """The parameters in the sequences ``seqs``, through the cached sets of
+    the parens and calls among their items."""
+    out = set()
+    for seq in seqs:
+        for it in seq:
+            if it.flags & HAS_PARAM:
+                out.update((it,) if type(it) is Param else it.params())
+    return frozenset(out)
 
 
 class Bullet(_Leaf):

@@ -20,6 +20,10 @@ generalizes them in another, as msg did before one routine did both.
 The reference skip loop drives every step of a transitive chain, as the
 engine did before it replayed chains from a memo.
 
+The reference substitution rebuilds every item that holds a parameter,
+as ``config.subst_seq`` did before it kept unchanged parens, calls and
+sequences as the same objects.
+
 The residual cleanup references are the call walkers that forwarder
 inlining, the rename after merging and the definition key used before they
 were built on ``lang.map_calls`` and ``lang.map_items``.
@@ -51,6 +55,7 @@ from scpv.lang import (
     is_ground,
     is_sym_kind,
     iter_items,
+    map_items,
 )
 from scpv.interp import eval_seq, match_seq  # noqa: used by helpers below
 from scpv.relations import _config_embed
@@ -329,6 +334,21 @@ def naive_subst_seq(seq: Seq, theta: dict) -> Seq:
         else:
             out.append(it)
     return tuple(out)
+
+
+def ref_subst_seq(seq: Seq, theta: dict) -> Seq:
+    if not theta:
+        return seq
+
+    def leaf(p):
+        rep = theta.get(p)
+        if rep is None:
+            return (p,)
+        if p.kind == "s" and len(rep) != 1:
+            raise ValueError(f"s-parameter {p!r} bound to a sequence")
+        return rep
+
+    return map_items(seq, HAS_PARAM, leaf)
 
 
 def naive_subst_vars(seq: Seq, env: dict) -> Seq:

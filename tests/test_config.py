@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 import models
-from oracles import cat, eval_ground_expr, normalize, random_ground
+from oracles import cat, eval_ground_expr, normalize, random_ground, ref_subst_seq
 from scpv.config import (
     Clock,
     Configuration,
@@ -12,10 +15,48 @@ from scpv.config import (
     check_config,
     compose_subst,
     decompose,
+    plug_app,
+    subst_app,
     subst_seq,
 )
 from scpv.encoding import encode_expr
-from scpv.lang import BULLET, Call, Paren, Param, Sym, parse_expr
+from scpv.lang import BULLET, Call, Paren, Param, Sym, iter_items, parse_expr
+
+
+def _records():
+    app = TimedApp("F", (parse_expr("'a' (b)"), (BULLET,)), 3)
+    return app, Configuration((app,), (BULLET,))
+
+
+def test_records_are_frozen():
+    for r in _records():
+        for name in type(r).__slots__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(r, name)
+
+
+def test_equal_records_hash_equal():
+    for r, twin in zip(_records(), _records()):
+        assert r is not twin and r == twin and hash(r) == hash(twin)
+    app, cfg = _records()
+    assert app != TimedApp(app.fname, app.args, 4)
+    assert cfg != Configuration(cfg.stack, ())
+    assert app != cfg and app != (app.fname, app.args, app.time)
+
+
+def test_records_copy_and_pickle():
+    for r in _records():
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(twin) is type(r) and twin == r and hash(twin) == hash(r)
+
+
+def test_records_print_as_before():
+    app, cfg = _records()
+    assert repr(app) == "F@3('a' (b), •)"
+    assert repr(cfg) == "F@3('a' (b), •), •"
+    assert repr(Configuration((), parse_expr("'a' e.x"))) == "'a' e.x"
 
 
 def test_cat_flattens_associatively():
@@ -142,10 +183,35 @@ def test_subst_kind_violation():
         subst_seq((p,), {p: parse_expr("'a' 'b'")})
 
 
+def _holds_any(seq, theta) -> bool:
+    return any(it in theta for it in iter_items(seq))
+
+
+def _assert_kept(seq, out, theta):
+    """Every paren, call and sequence of seq that holds no parameter of
+    theta's domain is in out, at its place, as the same object."""
+    if not _holds_any(seq, theta):
+        assert out is seq
+    j = 0
+    for it in seq:
+        if type(it) is Param and it in theta:
+            j += len(theta[it])
+            continue
+        got = out[j]
+        j += 1
+        if not _holds_any((it,), theta):
+            assert got is it
+        elif type(it) is Paren:
+            _assert_kept(it.items, got.items, theta)
+        elif type(it) is Call:
+            for a, b in zip(it.args, got.args):
+                _assert_kept(a, b, theta)
+
+
 def test_subst_composition_random():
     rnd = random.Random(31)
     pgen = ParamGen()
-    params = [pgen.fresh("e") for _ in range(4)]
+    params = [pgen.fresh("e") for _ in range(4)] + [pgen.fresh("s") for _ in range(2)]
 
     def rand_pexpr(depth=0):
         out = []
@@ -153,19 +219,57 @@ def test_subst_composition_random():
             c = rnd.random()
             if c < 0.4:
                 out.append(Sym("I"))
-            elif c < 0.6 and depth < 2:
+            elif c < 0.55 and depth < 2:
                 out.append(Paren(rand_pexpr(depth + 1)))
+            elif c < 0.6 and depth < 2:
+                out.append(Call("F", (rand_pexpr(depth + 1), rand_pexpr(depth + 1))))
             else:
                 out.append(rnd.choice(params))
         return tuple(out)
 
-    for _ in range(100):
+    def rand_theta():
+        p = rnd.choice(params)
+        if p.kind == "s" and rnd.random() < 0.8:
+            return {p: (rnd.choice((Sym("J"), params[-1])),)}
+        return {p: rand_pexpr()}
+
+    raised = 0
+    for _ in range(300):
         e = rand_pexpr()
-        t1 = {rnd.choice(params): rand_pexpr()}
-        t2 = {rnd.choice(params): rand_pexpr()}
-        assert subst_seq(subst_seq(e, t1), t2) == subst_seq(
-            e, compose_subst(t1, t2)
-        )
+        t1, t2 = rand_theta(), rand_theta()
+        for t in (t1, t2):
+            try:
+                want = ref_subst_seq(e, t)
+            except ValueError:  # an s-parameter bound to a sequence
+                raised += 1
+                with pytest.raises(ValueError):
+                    subst_seq(e, t)
+                continue
+            got = subst_seq(e, t)
+            assert got == want
+            _assert_kept(e, got, t)
+        try:
+            once = subst_seq(e, compose_subst(t1, t2))
+        except ValueError:
+            continue
+        assert subst_seq(subst_seq(e, t1), t2) == once
+    assert raised
+
+
+def test_subst_app_keeps_an_unchanged_entry():
+    x = Param("e", 1)
+    app = TimedApp("F", (parse_expr("'a'"), (Paren((x,)),)), 3)
+    assert subst_app(app, {Param("e", 2): ()}) is app
+    got = subst_app(app, {x: ()})
+    assert got.args[0] is app.args[0] and got.args[1] == (Paren(()),)
+
+
+def test_plug_app_keeps_the_arguments_without_the_bullet():
+    a, b = parse_expr("'a' (b)"), parse_expr("(e.x)")
+    app = TimedApp("F", (a, parse_expr("'c'") + (BULLET,), b), 3)
+    got = plug_app(app, parse_expr("'v'"))
+    assert got.args[0] is a and got.args[2] is b
+    assert got.args[1] == parse_expr("'c' 'v'") and got.time == 3
 
 
 def test_check_config_rejects_bad_bullets():

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -13,7 +16,7 @@ from oracles import (
 )
 from scpv.config import Clock, Configuration, ParamGen, TimedApp, subst_seq
 from scpv.corpus import self_interpreter
-from scpv.driving import drive
+from scpv.driving import Branch, StepResult, drive
 from scpv.encoding import encode_expr
 from scpv.interp import UNDEFINED, eval_call
 from scpv.lang import BULLET, Paren, Param, Sym, Var, parse_expr
@@ -215,3 +218,34 @@ def test_passive_steps(syn):
     cfg = Configuration((), parse_expr("'a' ('b')"))
     res = drive(cfg, syn, Clock(), ParamGen())
     assert res.kind == "passive" and res.value == parse_expr("'a' ('b')")
+
+
+def _step_records():
+    succ = _call_config("Main", [parse_expr("(rm) (I)")])
+    branch = Branch({Param("e", 1): parse_expr("'a'")}, succ, "fired")
+    return branch, StepResult("branches", branches=(branch,))
+
+
+def test_step_records_are_frozen():
+    for r in _step_records():
+        for name in type(r).__slots__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(r, name)
+
+
+def test_step_records_compare_copy_and_print_as_before():
+    for r, twin in zip(_step_records(), _step_records()):
+        assert r is not twin and r == twin
+        for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(c) is type(r) and c == r
+    branch, step = _step_records()
+    assert branch != Branch(branch.contraction, branch.successor, "stuck")
+    assert repr(Branch({}, None, "stuck")) == (
+        "Branch(contraction={}, successor=None, tag='stuck', deferred=())"
+    )
+    assert repr(StepResult("passive", value=parse_expr("'a'"))) == (
+        "StepResult(kind='passive', branches=(), value=('a',))"
+    )
+    assert repr(step) == f"StepResult(kind='branches', branches=({branch!r},), value=())"

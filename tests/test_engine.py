@@ -99,6 +99,70 @@ def test_trace_renders_the_same_text_on_every_read(syn):
     assert read.to_jsonl() == text + "\n" + json.dumps(read.events[-1], sort_keys=True)
 
 
+def test_trace_text_is_the_same_read_early_or_late(syn, monkeypatch):
+    # substitutions are stored on emit and printed when first read, so the
+    # text must not depend on when the events are read: no substitution may
+    # change after it is emitted
+    import scpv.engine as engine
+
+    late = verify_protocol(syn, mode="indirect", passes=2)["trace"].to_jsonl()
+    step = engine.Engine.step
+
+    def step_and_read(self, node):
+        step(self, node)
+        self.trace.events
+
+    monkeypatch.setattr(engine.Engine, "step", step_and_read)
+    early = verify_protocol(syn, mode="indirect", passes=2)["trace"].to_jsonl()
+    assert early == late
+
+
+def test_generalization_that_binds_a_call_reopens_its_fold_sources(syn):
+    # a fold passes its substitution as the arguments of a residual call;
+    # composed with a generalization witness that binds a call, it would
+    # pass that call, so the sources are reopened instead of retargeted
+    from scpv.config import subst_config
+    from scpv.engine import Engine, _equal_but_labels
+    from scpv.lang import Call, Param
+
+    x, y, g = Param("e", 1), Param("e", 2), Param("e", 200)
+
+    def main(time, *args):
+        return Configuration((TimedApp("Main", (args,), time),), (BULLET,))
+
+    def folded_graph():
+        eng = Engine(syn, Limits(), Trace())
+        target = eng.graph.new_node(main(1, x, Call("F", ((y,),))))
+        sources = [
+            eng.graph.new_node(main(2 + i, Sym(a), Call("F", ((Sym("b"),),))))
+            for i, a in enumerate("ac")
+        ]
+        for s, a in zip(sources, "ac"):
+            eng._fold(s, target.id, {x: (Sym(a),), y: (Sym("b"),)})
+        return eng, target, sources
+
+    # the call stays in the generalization: the folds are retargeted
+    eng, target, sources = folded_graph()
+    eng._restart(target, main(1, x, Call("F", ((g,),))), {x: (x,), g: (y,)})
+    for s in sources:
+        assert s.kind == "fold" and s.fold_target == target.id
+        assert _equal_but_labels(subst_config(target.config, s.fold_theta), s.config)
+    assert eng.graph.fold_sources[target.id] == [s.id for s in sources]
+    assert not eng.trace.warnings
+
+    # the generalization binds the call: every source is reopened
+    eng, target, sources = folded_graph()
+    eng._restart(target, main(1, x, g), {x: (x,), g: (Call("F", ((y,),)),)})
+    for s in sources:
+        assert (s.kind, s.fold_target, s.fold_theta) == ("open", None, None)
+        assert s.id in eng.tasks
+    assert target.id not in eng.graph.fold_sources
+    assert eng.trace.warnings == [
+        f"fold source {s.id} reopened, a call in the generalization of {target.id}"
+        for s in sources
+    ]
+
+
 def test_mutant_unsafe_direct():
     mut = models.load("synapse_unsafe_mutant.l")
     rep = verify_protocol(mut, mode="direct", passes=1, limits=Limits(time_budget_s=60))

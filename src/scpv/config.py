@@ -215,26 +215,20 @@ def decompose_expr(seq: Seq):
     got = _split_leftmost_call(seq)
     if got is None:
         return [], seq
-    call, ctx = got
-    wrappers = []
-    cur = call
+    cur, ctx = got
+    chain = []  # outermost first until reversed
     while True:
-        inner = None
         for k, a in enumerate(cur.args):
             sub = _split_leftmost_call(a)
             if sub is not None:
-                inner_call, arg_ctx = sub
-                hollowed = Call(
-                    cur.fname, cur.args[:k] + (arg_ctx,) + cur.args[k + 1 :]
-                )
-                inner = (inner_call, hollowed)
+                inner, arg_ctx = sub
+                chain.append(Call(cur.fname, cur.args[:k] + (arg_ctx,) + cur.args[k + 1 :]))
+                cur = inner
                 break
-        if inner is None:
-            break
-        cur, hollow = inner[0], inner[1]
-        wrappers.append(hollow)
-    chain = [cur] + list(reversed(wrappers))
-    return chain, ctx
+        else:
+            chain.append(cur)
+            chain.reverse()
+            return chain, ctx
 
 
 def timed_chain(chain, clock: Clock, args=None):

@@ -132,46 +132,30 @@ def _match_one(pat: Seq, data: Seq, env: dict):
             return ("shape", d)
         if td is Call or td is Bullet:
             raise AssertionError(f"active or bullet data in matching: {d!r}")
-        if tp is Sym:
-            if td is Sym:
-                if d != p:
-                    return FAIL
-            elif td is Param:  # s-parameter
-                return ("sym", d, p)
-            else:
-                return FAIL
-        elif tp is Var:  # s-variable
-            bound = env.get(p)
-            if bound is None:
-                if td is Sym or td is Param:
-                    env[p] = (d,)
-                else:
-                    return FAIL
-            else:
-                b = bound[0]
-                if type(b) is Sym:
-                    if td is Sym:
-                        if d != b:
-                            return FAIL
-                    elif td is Param:
-                        return ("sym", d, b)
-                    else:
-                        return FAIL
-                elif td is Sym:  # bound to an s-parameter
-                    return ("sym", b, d)
-                elif td is Param:
-                    if d != b:
-                        return ("sym", d, b)
-                else:
-                    return FAIL
-        elif tp is Paren:
+        if tp is Paren:
             if td is not Paren:
                 return FAIL
             got = _match_one(p.items, d.items, env)
             if got is not None:
                 return got
-        else:
+        elif tp is not Sym and tp is not Var:
             raise AssertionError(f"bad pattern item {p!r}")
+        elif td is Paren:
+            return FAIL
+        elif tp is Var and p not in env:  # an unbound s-variable
+            env[p] = (d,)
+        else:
+            # a symbol, or the symbol or s-parameter bound to an s-variable,
+            # against a symbol or an s-parameter d; where they differ, a
+            # decision on d if d is a parameter, else on the bound one, and
+            # no match between two symbols
+            want = p if tp is Sym else env[p][0]
+            if d != want:
+                if td is Param:
+                    return ("sym", d, want)
+                if type(want) is Sym:
+                    return FAIL
+                return ("sym", want, d)
         i += 1
         j += 1
 

@@ -124,10 +124,8 @@ class ProcessGraph:
         return tuple(e.fname for e in c.stack)
 
     def complete_candidates(self, c: Configuration):
-        for nid in self.by_shape.get(self.shape_key(c), ()):
-            n = self.nodes[nid]
-            if not n.dead:
-                yield n
+        """The completed drive nodes of c's stack shape, in completion order."""
+        return self.by_shape.get(self.shape_key(c), ())
 
     def stats(self) -> dict:
         return {"nodes": sum(1 for n in self.nodes.values() if not n.dead)}
@@ -202,12 +200,6 @@ def _printed(v):
 # Strategy-property instrumentation (the proposition checks)
 
 
-def _shared_timed_matching(c1: Configuration, c2: Configuration) -> bool:
-    a = {(e.fname, e.time) for e in c1.stack if e.fname == "Matching"}
-    b = {(e.fname, e.time) for e in c2.stack if e.fname == "Matching"}
-    return bool(a & b)
-
-
 def _match_headed_nil(c: Configuration) -> bool:
     """The first-generalization form: a Match of the empty pattern on top,
     with the surrounding Matching and Eval applications below."""
@@ -237,28 +229,21 @@ def _check_action(trace: Trace, what: str, c1: Configuration, c2: Configuration)
     """Instrumented invariants for fold/generalize pairs on interpreter runs."""
     if not trace.instrument:
         return
-    if _shared_timed_matching(c1, c2):
+    shared = {(e.fname, e.time) for e in c1.stack} & {(e.fname, e.time) for e in c2.stack}
+    if any(fname == "Matching" for fname, _ in shared):
         trace.violations.append(
             f"{what} between configurations sharing a timed Matching application"
         )
-    if (
-        c1.stack
-        and c2.stack
-        and c1.stack[0].fname == "Match"
-        and c2.stack[0].fname == "Match"
-    ):
-        shared = {(e.fname, e.time) for e in c1.stack} & {
-            (e.fname, e.time) for e in c2.stack
-        }
-        if shared:
-            p1, p2 = c1.stack[0].args[0], c2.stack[0].args[0]
-            if is_ground(p1) and is_ground(p2) and (
-                strict_embed(p1, p2) or strict_embed(p2, p1)
-            ):
-                trace.violations.append(
-                    f"{what} between Match configurations of one big-step "
-                    "with strictly related constant patterns"
-                )
+    # a shared entry means neither stack is empty
+    if shared and c1.stack[0].fname == "Match" == c2.stack[0].fname:
+        p1, p2 = c1.stack[0].args[0], c2.stack[0].args[0]
+        if is_ground(p1) and is_ground(p2) and (
+            strict_embed(p1, p2) or strict_embed(p2, p1)
+        ):
+            trace.violations.append(
+                f"{what} between Match configurations of one big-step "
+                "with strictly related constant patterns"
+            )
 
 
 def _note_generalization(trace: Trace, c1: Configuration, c2: Configuration):
@@ -290,16 +275,6 @@ def _skip_to(res: StepResult, skipped: int, checkpoint: Configuration):
     if n & (n - 1) == 0 and _config_embed(checkpoint, b.successor):
         return None
     return b.successor
-
-
-def _call_free_fold(target: Configuration, current: Configuration) -> Optional[dict]:
-    """``fold_instance``, refused when a binding holds a call: the residual
-    passes a fold's substitution as the arguments of its call, so a call
-    there would name a function that the residual does not define."""
-    theta = fold_instance(target, current)
-    if theta is None or any(contains_call(v) for v in theta.values()):
-        return None
-    return theta
 
 
 def _chain_key(c: Configuration):
@@ -353,23 +328,24 @@ class Engine:
     # -- bookkeeping -------------------------------------------------------
 
     def _check_budget(self) -> None:
-        if len(self.graph.nodes) > self.limits.max_nodes:
-            raise BudgetExceeded("node budget exceeded", self.graph, self.trace)
         if time.monotonic() - self.t0 > self.limits.time_budget_s:
             raise BudgetExceeded("time budget exceeded", self.graph, self.trace)
+
+    def _new_node(self, config: Configuration, parent=None, path=()) -> Node:
+        """A new graph node; the node budget runs out before the graph would
+        hold more than ``max_nodes`` nodes."""
+        if len(self.graph.nodes) >= self.limits.max_nodes:
+            raise BudgetExceeded("node budget exceeded", self.graph, self.trace)
+        return self.graph.new_node(config, parent, path)
 
     def _enqueue_task(self, node: Node) -> None:
         """Queue a specialization task, folding it into an equivalent
         earlier task root instead when one exists."""
         key = self.graph.shape_key(node.config)
-        for rid in self.graph.task_roots.get(key, ()):
-            root = self.graph.node(rid)
-            if root.dead or rid == node.id:
-                continue
-            theta = _call_free_fold(root.config, node.config)
-            if theta is not None:
-                self._fold(node, rid, theta)
-                return
+        found = self._find_fold(node.config, self.graph.task_roots.get(key, ()))
+        if found is not None:
+            self._fold(node, *found)
+            return
         self.graph.task_roots.setdefault(key, []).append(node.id)
         self.tasks.append(node.id)
 
@@ -407,7 +383,7 @@ class Engine:
         """After a generalization the target is more general; existing fold
         substitutions compose with the generalization witness. Where the
         witness binds a subterm that holds a call, every composition would
-        hold it (``_call_free_fold`` would refuse such a fold), so the
+        hold it (``_find_fold`` would refuse such a fold), so the
         sources are reopened instead."""
         if any(contains_call(v) for v in theta1.values()):
             for sid in self.graph.fold_sources.pop(target.id, ()):
@@ -422,10 +398,12 @@ class Engine:
             }
 
     def _complete(self, node: Node) -> None:
-        """Complete node, and each ancestor whose last pending child it was."""
+        """Complete node, and each ancestor whose last pending child it was;
+        a completed drive node becomes a fold target (``by_shape``)."""
         while True:
-            key = self.graph.shape_key(node.config)
-            self.graph.by_shape.setdefault(key, []).append(node.id)
+            if node.kind == "drive":
+                key = self.graph.shape_key(node.config)
+                self.graph.by_shape.setdefault(key, []).append(node.id)
             if node.parent is None:
                 return
             node = self.graph.node(node.parent)
@@ -436,7 +414,7 @@ class Engine:
     # -- main loop -----------------------------------------------------------
 
     def run(self, entry: Configuration) -> int:
-        root = self.graph.new_node(entry)
+        root = self._new_node(entry)
         self.tasks.append(root.id)
         while self.tasks:
             task = self.tasks.pop(0)
@@ -479,10 +457,12 @@ class Engine:
                 )
             return
 
-        # eager folding: path ancestors and completed nodes
-        target = self._find_fold(node)
-        if target is not None:
-            self._fold(node, *target)
+        # eager folding: path ancestors and completed drive nodes
+        found = self._find_fold(node.config, node.path) or self._find_fold(
+            node.config, self.graph.complete_candidates(node.config)
+        )
+        if found is not None:
+            self._fold(node, *found)
             return
 
         # the whistle
@@ -630,7 +610,7 @@ class Engine:
         driven = []
         for b in branches:
             placeholder = b.tag == "stuck" or bool(b.deferred)
-            child = self.graph.new_node(
+            child = self._new_node(
                 Configuration((), ()) if placeholder else b.successor,
                 parent=node.id,
                 path=node.path if placeholder else node.path + (node.id,),
@@ -650,10 +630,10 @@ class Engine:
         # the first configuration continues the current unfolding and keeps
         # its ancestor path; the continuations are postponed as separate
         # tasks, unfolded completely independently
-        first = self.graph.new_node(primary, parent=node.id, path=node.path)
+        first = self._new_node(primary, parent=node.id, path=node.path)
         node.children = [(None, first.id)]
         for p, cfg in deferred:
-            part = self.graph.new_node(cfg, parent=node.id, path=())
+            part = self._new_node(cfg, parent=node.id, path=())
             node.children.append((p, part.id))
         node.pending_children = len(node.children)
         self.trace.emit(
@@ -665,20 +645,19 @@ class Engine:
 
     # -- folding ---------------------------------------------------------------
 
-    def _find_fold(self, node: Node):
-        for aid in node.path:
-            anc = self.graph.node(aid)
-            theta = _call_free_fold(anc.config, node.config)
-            if theta is not None:
-                return aid, theta
-        for cand in self.graph.complete_candidates(node.config):
-            if cand.id == node.id:
+    def _find_fold(self, config: Configuration, candidate_ids):
+        """The first live candidate that config is an instance of, and the
+        substitution; None when there is none. A substitution that binds a
+        call is refused: the residual passes a fold's substitution as the
+        arguments of its call, so a call there would name a function that
+        the residual does not define."""
+        for cid in candidate_ids:
+            cand = self.graph.node(cid)
+            if cand.dead:
                 continue
-            if cand.kind != "drive":
-                continue
-            theta = _call_free_fold(cand.config, node.config)
-            if theta is not None:
-                return cand.id, theta
+            theta = fold_instance(cand.config, config)
+            if theta is not None and not any(contains_call(v) for v in theta.values()):
+                return cid, theta
         return None
 
     def _fold(self, source: Node, target_id: int, theta: dict) -> None:
@@ -780,9 +759,9 @@ class Engine:
         )
         self._kill_below(anc_id)
         anc.kind = "letsplit"
-        p_node = self.graph.new_node(prefix, parent=anc_id, path=())
+        p_node = self._new_node(prefix, parent=anc_id, path=())
         p_node.entry_subst = prefix_entry
-        c_node = self.graph.new_node(context, parent=anc_id, path=())
+        c_node = self._new_node(context, parent=anc_id, path=())
         c_node.entry_subst = context_entry
         anc.children = [(None, p_node.id), (connector, c_node.id)]
         anc.pending_children = 2
@@ -1010,6 +989,10 @@ def parse_entry_config(prog: Program, text: str):
     return cfg
 
 
+# the Trace counters that each pass reports as its own share
+PASS_COUNTERS = ("msg_checked", "fold_checked", "transitive_steps", "transitive_replayed")
+
+
 def _input_reader(mode: str, pass_index: int):
     """Map a ground instance of a pass's entry arguments to the model's
     arguments: as is in direct mode; in indirect mode, decode the input
@@ -1072,12 +1055,7 @@ def verify_protocol(
         if p_i:
             trace.instrument = False
             trace.emit("Pass", **{"pass": p_i + 1})
-        counted = (
-            trace.msg_checked,
-            trace.fold_checked,
-            trace.transitive_steps,
-            trace.transitive_replayed,
-        )
+        counted = {k: getattr(trace, k) for k in PASS_COUNTERS}
         search = WitnessSearch(
             entry_cfg.stack[0].args, model, entry, _input_reader(mode, p_i),
             unsafe_symbol, stop=not need_residual,
@@ -1112,10 +1090,7 @@ def verify_protocol(
                 "witness_node": search.node,
                 "functions": 0 if residual is None else len(residual.defs),
                 "nodes": graph.stats()["nodes"],
-                "msg_checked": trace.msg_checked - counted[0],
-                "fold_checked": trace.fold_checked - counted[1],
-                "transitive_steps": trace.transitive_steps - counted[2],
-                "transitive_replayed": trace.transitive_replayed - counted[3],
+                **{k: getattr(trace, k) - n for k, n in counted.items()},
                 "seconds": round(time.monotonic() - t0, 3),
             }
         )

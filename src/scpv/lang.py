@@ -351,11 +351,9 @@ def iter_items(seq: Seq):
 
 
 def vars_of(seq: Seq) -> list:
-    out = []
-    for it in iter_items(seq):
-        if isinstance(it, (Var, Param)) and it not in out:
-            out.append(it)
-    return out
+    """The variables and parameters of seq, in order of first occurrence."""
+    found = (it for it in iter_items(seq) if isinstance(it, (Var, Param)))
+    return list(dict.fromkeys(found))
 
 
 def seq_flags(seq: Seq) -> int:

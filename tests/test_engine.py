@@ -908,3 +908,23 @@ def test_indirect_folds_on_generated_specs_keep_residuals_closed():
             assert verdicts["indirect"] == (False, "(flush rm) (I)")
         if len(verdicts) == 2:
             assert verdicts["direct"][0] == verdicts["indirect"][0], i
+
+
+def test_node_cap_is_exact():
+    # one drive of pass 2 makes 2,820 branches; the cap stops it part way,
+    # not at the next step
+    with pytest.raises(BudgetExceeded) as e:
+        verify_protocol(
+            _spec_model(GEN23_SPEC), mode="direct", passes=2, limits=Limits(max_nodes=1_000)
+        )
+    assert len(e.value.graph.nodes) <= 1_000
+
+
+def test_completion_index_holds_each_completed_drive_node_once(syn):
+    # only a drive node is a fold target among the completed nodes
+    prog = self_interpreter({"Synapse": syn})
+    cfg = parse_entry_config(prog, "Int((Call Main e.d), (Prog Synapse))")
+    _, graph, _ = supercompile(prog, cfg, Limits(time_budget_s=240), Trace(), entry_name="IntRes")
+    ids = [nid for nids in graph.by_shape.values() for nid in nids]
+    assert ids and len(ids) == len(set(ids))
+    assert all(graph.node(nid).kind == "drive" for nid in ids)

@@ -18,8 +18,8 @@ from .engine import (
     supercompile,
     verify_protocol,
 )
-from .interp import UNDEFINED, eval_call
-from .lang import LangError, parse_expr, parse_program, print_program, print_seq
+from .interp import UNDEFINED, FuelExhausted, eval_call
+from .lang import LangError, is_ground, parse_expr, parse_program, print_program, print_seq
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -29,11 +29,14 @@ EXIT_BUDGET = 4
 
 
 def _load_program(path: str):
-    if path.endswith(".spec"):
-        with open(path, "r", encoding="utf-8") as f:
-            return generate_model(parse_protocol_spec(f.read()))
     with open(path, "r", encoding="utf-8") as f:
-        return parse_program(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise LangError(f"{path} is not UTF-8 text: {e}") from None
+    if path.endswith(".spec"):
+        return generate_model(parse_protocol_spec(text))
+    return parse_program(text)
 
 
 def _limits(args) -> Limits:
@@ -69,7 +72,14 @@ def cmd_run(args) -> int:
     if len(argv) != arity:
         print(f"error: {args.function} expects {arity} arguments", file=sys.stderr)
         return EXIT_ERROR
-    out = eval_call(prog, args.function, argv)
+    if not all(is_ground(a) for a in argv):
+        print("error: run takes ground data: symbols and parens", file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        out = eval_call(prog, args.function, argv)
+    except FuelExhausted as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return EXIT_BUDGET
     if out is UNDEFINED:
         print("undefined")
         return EXIT_UNDEFINED
@@ -202,10 +212,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (LangError, PropertyViolation) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as e:
+    except (LangError, PropertyViolation, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -88,9 +88,9 @@ _config_stack, _config_tail = slot_setters(Configuration)
 
 
 def check_config(c: Configuration) -> None:
-    """Assert the bullet and time-label invariants, and that an empty stack
-    sits over a call-free tail (``decompose`` stacks every reachable call);
-    used in tests and debug."""
+    """Assert the bullet and time-label invariants, and that the tail holds
+    no call (``decompose`` stacks every reachable call, and a let-split
+    leaves the bare bullet); used in tests and debug."""
     times = [e.time for e in c.stack]
     assert len(set(times)) == len(times), f"duplicate time labels in {c!r}"
     for i, e in enumerate(c.stack):
@@ -99,8 +99,7 @@ def check_config(c: Configuration) -> None:
         assert n == want, f"entry {i} of {c!r} has {n} bullets"
     if c.stack:
         assert bullet_count(c.tail) == 1, f"tail of {c!r} must hold one bullet"
-    else:
-        assert not contains_call(c.tail), f"empty stack over a call in {c!r}"
+    assert not contains_call(c.tail), f"a call in the tail of {c!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +230,11 @@ def decompose_expr(seq: Seq):
             return chain, ctx
 
 
-def timed_chain(chain, clock: Clock, args=None):
-    """Stamp a chain with fresh labels, outermost application first.
-
-    ``args``, when given, maps each application's arguments on the way."""
+def timed_chain(chain, clock: Clock):
+    """Stamp a chain with fresh labels, outermost application first."""
     times = [clock.tick() for _ in chain]
     # chain is innermost-first; the outermost gets the earliest label
-    return tuple([
-        TimedApp(c.fname, c.args if args is None else args(c.args), t)
-        for c, t in zip(chain, reversed(times))
-    ])
+    return tuple([TimedApp(c.fname, c.args, t) for c, t in zip(chain, reversed(times))])
 
 
 def decompose(seq: Seq, clock: Clock, pgen: ParamGen):

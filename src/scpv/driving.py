@@ -26,6 +26,7 @@ from .config import (
     timed_chain,
 )
 from .lang import (
+    BULLET,
     HAS_VAR,
     Bullet,
     Call,
@@ -39,6 +40,7 @@ from .lang import (
     contains_call,
     is_ground,
     map_items,
+    seq_flags,
     slot_setters,
 )
 
@@ -181,12 +183,65 @@ def _shape_cases(e: Param, pgen: ParamGen):
 # Driving proper
 
 
-def rule_table(prog: Program, fname: str) -> tuple:
-    """The rules of ``fname`` as ``(lhs, rhs, chain, ctx)``, built on first use
-    and kept on the program.
+class RuleRow(Record):
+    """One rule of a function, compiled for firing.
 
-    ``(chain, ctx) = decompose_expr(rhs)``. Decomposing before instantiation
-    is exact: ``decompose_expr(_subst_vars(rhs, env))`` is the chain with
+    ``chain`` and ``ctx`` are ``decompose_expr(rhs)``; each chain entry is
+    ``(fname, args, plans)``, with one plan per argument, and ``ctx_plan``
+    is ``ctx``'s (``_plan``). ``tail_call`` is true when ``ctx`` is the bare
+    bullet, so the rule's result is the result of its outermost call;
+    ``ctx_call`` when ``ctx`` holds a call, so firing it at the bottom of a
+    stack is a let-split (``decompose``)."""
+
+    __slots__ = ("lhs", "rhs", "chain", "ctx", "ctx_plan", "tail_call", "ctx_call")
+
+    def __init__(self, lhs: tuple, rhs: Seq):
+        chain, ctx = decompose_expr(rhs)
+        _row_lhs(self, lhs)
+        _row_rhs(self, rhs)
+        _row_chain(self, tuple([
+            (c.fname, c.args, tuple([_plan(a) for a in c.args])) for c in chain
+        ]))
+        _row_ctx(self, ctx)
+        _row_ctx_plan(self, _plan(ctx))
+        _row_tail_call(self, ctx == (BULLET,))
+        _row_ctx_call(self, contains_call(ctx))
+
+
+(_row_lhs, _row_rhs, _row_chain, _row_ctx, _row_ctx_plan, _row_tail_call,
+ _row_ctx_call) = slot_setters(RuleRow)
+
+# the kinds of instantiation plan: a lone variable is looked up, a
+# variable-free sequence is shared, any other is rebuilt
+LOOKUP, SHARE, REBUILD = "lookup", "share", "rebuild"
+
+
+def _plan(seq: Seq) -> tuple:
+    """How ``_instance`` instantiates seq: ``(kind, what)``."""
+    if len(seq) == 1 and type(seq[0]) is Var:
+        return LOOKUP, seq[0]
+    if not seq_flags(seq) & HAS_VAR:
+        return SHARE, seq
+    return REBUILD, seq
+
+
+def _instance(plan: tuple, env: dict) -> Seq:
+    """``_subst_vars`` of the planned sequence; a looked-up or shared one is
+    the same object, not a copy."""
+    kind, what = plan
+    if kind == LOOKUP:
+        return env[what]
+    if kind == SHARE:
+        return what
+    return _subst_vars(what, env)
+
+
+def rule_table(prog: Program, fname: str) -> tuple:
+    """The rules of ``fname`` as ``RuleRow``s, built on first use and kept
+    on the program.
+
+    Decomposing before instantiation is exact:
+    ``decompose_expr(_subst_vars(rhs, env))`` is the chain with
     ``_subst_vars`` applied to each argument, and ``_subst_vars(ctx, env)``.
     The values of ``env`` come from the top entry's arguments, which hold no
     call (nested calls are hoisted before a rule fires) and no bullet
@@ -196,9 +251,7 @@ def rule_table(prog: Program, fname: str) -> tuple:
     if table is None:
         if fname not in prog.defs:
             raise ValueError(f"call to undefined function {fname}")
-        table = tuple(
-            (r.lhs, r.rhs) + tuple(decompose_expr(r.rhs)) for r in prog.rules(fname)
-        )
+        table = tuple(RuleRow(r.lhs, r.rhs) for r in prog.rules(fname))
         prog.rule_tables[fname] = table
     return table
 
@@ -208,7 +261,7 @@ def _walk(table, args, theta, start, pgen, warn, out):
     # module-level rather than a closure, which would be rebuilt on every drive
     for ri in range(start, len(table)):
         env = {}
-        req = _match_rule(table[ri][0], args, env)
+        req = _match_rule(table[ri].lhs, args, env)
         if req is FAIL:
             continue
         if req is None:
@@ -240,24 +293,40 @@ def _walk(table, args, theta, start, pgen, warn, out):
     out.append((theta, "stuck", None, None))
 
 
-def _fire_successor(config: Configuration, theta: dict, rule: tuple, env: dict,
+def _fire_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
                     clock: Clock, pgen: ParamGen):
-    """Pop the fired top, thread its result, restore stack form."""
-    _, rhs, chain, ctx = rule
+    """Pop the fired top, thread its result, restore stack form.
+
+    The rule's chain is stacked with fresh labels, the outermost application
+    getting the earliest, as ``timed_chain`` stamps them. Its result flows
+    into the entry below, which a tail call leaves as it is, or at the bottom
+    of the stack into the tail. The tail holds no call (``check_config``),
+    so there ``decompose`` of the tail with the instantiated ``rhs`` in its
+    bullet is this chain over the tail with ``ctx`` in it, unless ``ctx``
+    holds a call: only such a let-split goes through ``decompose``."""
     stack = config.stack
-    if len(stack) > 1:
-        below, tail = stack[1:], config.tail
-        if theta:
-            below = tuple([subst_app(e, theta) for e in below])
-            tail = subst_seq(tail, theta)
-        entries = timed_chain(
-            chain, clock, lambda args: tuple([_subst_vars(a, env) for a in args])
-        )
-        plugged = plug_app(below[0], _subst_vars(ctx, env))
-        return Configuration(entries + (plugged,) + below[1:], tail), ()
-    raw = replace_bullet(subst_seq(config.tail, theta), _subst_vars(rhs, env))
-    succ, deferred = decompose(raw, clock, pgen)
-    return succ, tuple(deferred)
+    tail = subst_seq(config.tail, theta)
+    if len(stack) == 1 and row.ctx_call:
+        raw = replace_bullet(tail, _subst_vars(row.rhs, env))
+        succ, deferred = decompose(raw, clock, pgen)
+        return succ, tuple(deferred)
+    chain = row.chain
+    top = clock.now + len(chain)
+    clock.now = top
+    entries = tuple([
+        TimedApp(fname, tuple([_instance(p, env) for p in plans]), top - i)
+        for i, (fname, _, plans) in enumerate(chain)
+    ])
+    if len(stack) == 1:
+        if not row.tail_call:
+            tail = replace_bullet(tail, _instance(row.ctx_plan, env))
+        return Configuration(entries, tail), ()
+    below = stack[1:]
+    if theta:
+        below = tuple([subst_app(e, theta) for e in below])
+    if not row.tail_call:
+        below = (plug_app(below[0], _instance(row.ctx_plan, env)),) + below[1:]
+    return Configuration(entries + below, tail), ()
 
 
 def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,

@@ -27,6 +27,13 @@ sequences as the same objects.
 The residual cleanup references are the call walkers that forwarder
 inlining, the rename after merging and the definition key used before they
 were built on ``lang.map_calls`` and ``lang.map_items``.
+
+The reference rule firing decomposes the right-hand side and rebuilds every
+argument, the entry below and, at the bottom of the stack, the whole
+successor, as driving did before its rule rows held instantiation plans.
+
+The hypothesis strategies at the end draw parameterized data: symbols,
+parameters and parens, with no call and no bullet.
 """
 
 from __future__ import annotations
@@ -34,8 +41,30 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from scpv.config import Clock, Configuration, ParamGen, TimedApp, compose_subst, subst_seq
-from scpv.driving import FAIL, NotSupported, _match_one, _shape_cases, drive, is_renaming
+from hypothesis import strategies as st
+
+from scpv.config import (
+    Clock,
+    Configuration,
+    ParamGen,
+    TimedApp,
+    compose_subst,
+    decompose,
+    decompose_expr,
+    plug_app,
+    replace_bullet,
+    subst_app,
+    subst_seq,
+)
+from scpv.driving import (
+    FAIL,
+    NotSupported,
+    _match_one,
+    _shape_cases,
+    _subst_vars,
+    drive,
+    is_renaming,
+)
 from scpv.lang import (
     BULLET,
     HAS_BULLET,
@@ -566,6 +595,29 @@ def ref_skip_chain(config: Configuration, prog: Program, clock: Clock,
     return config, res, skipped
 
 
+def ref_fire_successor(config: Configuration, theta: dict, rhs: Seq, env: dict,
+                       clock: Clock, pgen: ParamGen):
+    """Pop the fired top, thread its result, restore stack form."""
+    chain, ctx = decompose_expr(rhs)
+    stack = config.stack
+    if len(stack) > 1:
+        below, tail = stack[1:], config.tail
+        if theta:
+            below = tuple([subst_app(e, theta) for e in below])
+            tail = subst_seq(tail, theta)
+        times = [clock.tick() for _ in chain]
+        # chain is innermost-first; the outermost gets the earliest label
+        entries = tuple([
+            TimedApp(c.fname, tuple([_subst_vars(a, env) for a in c.args]), t)
+            for c, t in zip(chain, reversed(times))
+        ])
+        plugged = plug_app(below[0], _subst_vars(ctx, env))
+        return Configuration(entries + (plugged,) + below[1:], tail), ()
+    raw = replace_bullet(subst_seq(config.tail, theta), _subst_vars(rhs, env))
+    succ, deferred = decompose(raw, clock, pgen)
+    return succ, tuple(deferred)
+
+
 def ref_inst_seq(pat: Seq, subj: Seq, th: dict, budget):
     """Fold matching that enters every pattern item; ``budget`` is a
     ``lang.Budget``."""
@@ -881,3 +933,36 @@ def multiplicity(v, seq: Seq) -> int:
 def match_ground(pat: Seq, data: Seq, env=None):
     """The reference interpreter's matcher, from an empty environment."""
     return match_seq(pat, data, env or {})
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies for parameterized data
+
+
+SYMS = (Sym("a", char=True), Sym("I"), Sym("T"))
+S_PARAMS = (Param("s", 1), Param("s", 2))
+E_PARAMS = (Param("e", 3), Param("e", 4))
+
+
+def passive(leaves):
+    """Sequences of the given leaves and parens: no call, no bullet."""
+    item = st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.lists(kids, max_size=3).map(lambda xs: Paren(tuple(xs))),
+        max_leaves=10,
+    )
+    return st.lists(item, max_size=4).map(tuple)
+
+
+open_data = passive(SYMS + S_PARAMS + E_PARAMS)
+sym_like = st.sampled_from(SYMS + S_PARAMS)
+
+
+def draw_value(draw, v, values):
+    """One symbol-like item for an s-variable or s-parameter, a sequence
+    from ``values`` for an e-variable or e-parameter."""
+    return (draw(sym_like),) if v.kind == "s" else draw(values)
+
+
+def draw_env(draw, names, values):
+    return {v: draw_value(draw, v, values) for v in names}

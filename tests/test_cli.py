@@ -1,9 +1,12 @@
+import functools
 import json
 
 import pytest
 
 import models
+from scpv import cli
 from scpv.cli import main
+from scpv.interp import eval_call
 from scpv.lang import parse_program
 
 
@@ -51,6 +54,35 @@ def test_run_rejects_extra_arguments(model_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Test expects 1 arguments" in captured.err
+
+
+def test_run_out_of_fuel_is_a_budget_exit(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "loop.l"
+    p.write_text("G { e.x => G(e.x); }\n")
+    # the default fuel takes about a minute to run out
+    monkeypatch.setattr(cli, "eval_call", functools.partial(eval_call, fuel=1_000))
+    assert main(["run", str(p), "G", "A"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: fuel exhausted in G\n"
+
+
+def test_run_rejects_open_data(model_file, capsys):
+    assert main(["run", model_file, "Test", "(Invalid e.x) (Dirty) (Valid)"]) == 1
+    assert capsys.readouterr().err == "error: run takes ground data: symbols and parens\n"
+
+
+def test_unreadable_model_paths_are_usage_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.l"
+    bad.write_bytes(b"Main { e.x => \xff; }\n")
+    for path, said in [
+        (tmp_path, "Is a directory"),
+        (bad, "is not UTF-8 text"),
+        (tmp_path / "missing.l", "No such file or directory"),
+    ]:
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and said in err and "Traceback" not in err
 
 
 def test_encode_roundtrip(model_file, tmp_path, capsys):

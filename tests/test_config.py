@@ -285,3 +285,12 @@ def test_check_config_rejects_a_call_under_an_empty_stack():
     check_config(Configuration((), parse_expr("'a' ('b')")))
     with pytest.raises(AssertionError):
         check_config(Configuration((), parse_expr("'a' (F('b'))")))
+
+
+def test_check_config_rejects_a_call_in_the_tail_of_a_stack():
+    # rule firing builds a successor at the bottom of a stack without
+    # decomposing it again, which needs a call-free tail
+    top = (TimedApp("F", ((),), 1),)
+    check_config(Configuration(top, parse_expr("'a' ('b')") + (BULLET,)))
+    with pytest.raises(AssertionError):
+        check_config(Configuration(top, parse_expr("F('b')") + (BULLET,)))

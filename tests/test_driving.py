@@ -4,22 +4,30 @@ import random
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import models
 from oracles import (
+    E_PARAMS,
+    S_PARAMS,
     config_to_expr,
+    draw_env,
+    draw_value,
     eval_ground_expr,
     is_transitive,
     match_ground,
     narrow_match,
+    open_data,
     random_ground,
+    ref_fire_successor,
 )
-from scpv.config import Clock, Configuration, ParamGen, TimedApp, subst_seq
+from scpv.config import Clock, Configuration, ParamGen, TimedApp, check_config, subst_seq
 from scpv.corpus import self_interpreter
-from scpv.driving import Branch, StepResult, drive
+from scpv.driving import Branch, StepResult, _fire_successor, drive, rule_table
 from scpv.encoding import encode_expr
 from scpv.interp import UNDEFINED, eval_call
-from scpv.lang import BULLET, Paren, Param, Sym, Var, parse_expr
+from scpv.lang import BULLET, Paren, Param, Sym, Var, parse_expr, vars_of
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +127,62 @@ def test_drive_matches_evaluator_on_ground(syn):
         assert out == direct or (out is UNDEFINED and direct is UNDEFINED)
         checked += 1
     assert checked > 300
+
+
+ALL_RULES = models.shipped_rules()
+LET_SPLITS = [r for r in ALL_RULES if rule_table(r[0], r[1])[r[2]].ctx_call]
+
+
+def test_shipped_rules_hold_let_splits_and_tail_calls():
+    rows = [rule_table(prog, fname)[i] for prog, fname, i in ALL_RULES]
+    assert LET_SPLITS and any(r.tail_call for r in rows)
+
+
+def _holed(draw):
+    """A passive sequence with one bullet, at the top or in a paren."""
+    hole = (BULLET,)
+    if draw(st.booleans()):
+        hole = (Paren(draw(open_data) + hole + draw(open_data)),)
+    return draw(open_data) + hole + draw(open_data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.sampled_from(LET_SPLITS), st.sampled_from(ALL_RULES)), st.data())
+def test_fire_successor_agrees_with_reference(case, data):
+    # a fired rule over random bindings, stacks and tails: the successor,
+    # its deferred parts, the clock and the parameter supply are as when
+    # every argument was rebuilt and the bottom of the stack decomposed
+    prog, fname, i = case
+    row = rule_table(prog, fname)[i]
+    draw = data.draw
+    env = draw_env(draw, vars_of(row.rhs), open_data)
+    below = tuple(
+        TimedApp("F", (draw(open_data),) * draw(st.integers(0, 1)) + (_holed(draw),), t)
+        for t in range(2, 2 + draw(st.integers(0, 2)))
+    )
+    top = TimedApp(fname, tuple(draw(open_data) for _ in range(prog.arity(fname))), 1)
+    config = Configuration((top,) + below, _holed(draw))
+    check_config(config)
+    theta = {}
+    if draw(st.booleans()):
+        theta = {p: draw_value(draw, p, open_data) for p in S_PARAMS + E_PARAMS
+                 if draw(st.booleans())}
+    now, num = draw(st.integers(10, 40)), draw(st.integers(100, 140))
+    clock, pgen, ref_clock, ref_pgen = Clock(now), ParamGen(num), Clock(now), ParamGen(num)
+    got = _fire_successor(config, theta, row, env, clock, pgen)
+    assert got == ref_fire_successor(config, theta, row.rhs, env, ref_clock, ref_pgen)
+    assert (clock.now, pgen.next_num) == (ref_clock.now, ref_pgen.next_num)
+    if row.tail_call and below and not theta:
+        assert got[0].stack[len(row.chain)] is below[0]
+
+
+def test_tail_call_keeps_the_entry_below(syn):
+    # Main's right-hand side is a call of Loop: its result is Main's
+    below = TimedApp("Append", ((Paren((BULLET,)),), parse_expr("('a')")), 0)
+    cfg = Configuration((TimedApp("Main", (parse_expr("(rm) (I)"),), 1), below), (BULLET,))
+    (branch,) = drive(cfg, syn, Clock(5), ParamGen()).branches
+    assert [e.fname for e in branch.successor.stack] == ["Loop", "Append"]
+    assert branch.successor.stack[1] is below
 
 
 def test_narrow_match_svar_head():

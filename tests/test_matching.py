@@ -3,17 +3,37 @@ folds and rule subsumption.
 
 The packaged matchers are checked against the reference copies in
 ``oracles.py`` on random patterns and parameterized data, and the rule
-table's pre-decomposition against decomposing after instantiation.
+table's pre-decomposition and instantiation plans against decomposing and
+substituting after instantiation.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import models
-from oracles import _random_pattern, ref_inst_seq, ref_match_rule, ref_pattern_instance
+from oracles import (
+    E_PARAMS,
+    S_PARAMS,
+    SYMS,
+    _random_pattern,
+    draw_env,
+    draw_value,
+    open_data,
+    ref_inst_seq,
+    ref_match_rule,
+    ref_pattern_instance,
+)
 from scpv.config import decompose_expr
-from scpv.corpus import self_interpreter
-from scpv.driving import FAIL, NotSupported, _match_rule, _subst_vars, rule_table
+from scpv.driving import (
+    FAIL,
+    REBUILD,
+    SHARE,
+    NotSupported,
+    _instance,
+    _match_rule,
+    _subst_vars,
+    rule_table,
+)
 from scpv.lang import (
     BULLET,
     MATCH_BUDGET,
@@ -22,30 +42,11 @@ from scpv.lang import (
     Paren,
     Param,
     Rule,
-    Sym,
     Var,
     inst_args,
     inst_seq,
     vars_of,
 )
-
-SYMS = (Sym("a", char=True), Sym("I"), Sym("T"))
-S_PARAMS = (Param("s", 1), Param("s", 2))
-E_PARAMS = (Param("e", 3), Param("e", 4))
-
-
-def passive(leaves):
-    """Sequences of the given leaves and parens: no call, no bullet."""
-    item = st.recursive(
-        st.sampled_from(leaves),
-        lambda kids: st.lists(kids, max_size=3).map(lambda xs: Paren(tuple(xs))),
-        max_leaves=10,
-    )
-    return st.lists(item, max_size=4).map(tuple)
-
-
-open_data = passive(SYMS + S_PARAMS + E_PARAMS)
-sym_like = st.sampled_from(SYMS + S_PARAMS)
 
 # rule patterns: symbols and two s-variables at any depth, an optional
 # trailing e-variable per level; few names, so that variables repeat
@@ -80,16 +81,6 @@ def fill(seq, hole, value):
         else:
             out.append(it)
     return tuple(out)
-
-
-def draw_value(draw, v, values):
-    """One symbol-like item for an s-variable or s-parameter, a sequence
-    from ``values`` for an e-variable or e-parameter."""
-    return (draw(sym_like),) if v.kind == "s" else draw(values)
-
-
-def draw_env(draw, names, values):
-    return {v: draw_value(draw, v, values) for v in names}
 
 
 def outcome(fn, *args):
@@ -142,30 +133,29 @@ def test_matcher_agrees_with_reference(lhs, shape, data):
         assert result == ref[1]
 
 
-def _shipped_programs():
-    names = ("synapse.l", "synapse_unsafe_mutant.l", "msi.spec", "mesi.spec", "synapse.spec")
-    progs = [models.load(name) for name in names]
-    return [self_interpreter({"Synapse": progs[0]})] + progs
-
-
-ALL_RULES = [
-    (prog, fname, i)
-    for prog in _shipped_programs()
-    for fname in prog.defs
-    for i in range(len(prog.rules(fname)))
-]
+ALL_RULES = models.shipped_rules()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(ALL_RULES), st.data())
 def test_predecomposition_commutes_with_instantiation(case, data):
     prog, fname, i = case
-    lhs, rhs, chain, ctx = rule_table(prog, fname)[i]
-    assert (chain, ctx) == decompose_expr(rhs)
-    env = draw_env(data.draw, vars_of(rhs), open_data)
-    want = decompose_expr(_subst_vars(rhs, env))
+    row = rule_table(prog, fname)[i]
+    chain = [Call(f, args) for f, args, _ in row.chain]
+    assert (chain, row.ctx) == decompose_expr(row.rhs)
+    env = draw_env(data.draw, vars_of(row.rhs), open_data)
+    want = decompose_expr(_subst_vars(row.rhs, env))
     inst = [Call(c.fname, tuple(_subst_vars(a, env) for a in c.args)) for c in chain]
-    assert (inst, _subst_vars(ctx, env)) == want
+    assert (inst, _subst_vars(row.ctx, env)) == want
+    # each plan instantiates its sequence as _subst_vars does, and a looked-up
+    # or shared one is not copied
+    for _, args, plans in row.chain:
+        for a, plan in zip(args, plans):
+            got = _instance(plan, env)
+            assert got == _subst_vars(a, env)
+            if plan[0] != REBUILD:
+                assert got is (a if plan[0] == SHARE else env[a[0]])
+    assert _instance(row.ctx_plan, env) == _subst_vars(row.ctx, env)
 
 
 # fold patterns: configuration items over parameters, with calls and bullets

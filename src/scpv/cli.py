@@ -209,7 +209,12 @@ def main(argv=None) -> int:
     _add_limit_flags(p)
     p.set_defaults(fn=cmd_verify)
 
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, the code of an undefined
+        # result; --help exits 0
+        return EXIT_ERROR if e.code else EXIT_OK
     try:
         return args.fn(args)
     except (LangError, PropertyViolation, OSError) as e:

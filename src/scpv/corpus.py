@@ -144,50 +144,55 @@ class CountingProtocolSpec:
     unsafe: list  # list of dicts counter -> k
 
 
+def _bounds(words: list):
+    """The conjunction ``c >= k, c >= k, ...`` as {c: k}, or None when the
+    words do not have that form."""
+    if len(words) % 4 != 3:
+        return None
+    bounds = {}
+    for i in range(0, len(words), 4):
+        c, op, k = words[i : i + 3]
+        if op != ">=" or not k.isdecimal() or words[i + 3 : i + 4] not in ([], [","]):
+            return None
+        bounds[c] = int(k)
+    return bounds
+
+
 def parse_protocol_spec(text: str) -> CountingProtocolSpec:
+    """Parse a spec; a malformed line raises LangError naming the line."""
     name = "protocol"
     counters: list = []
     events: list = []
     unsafe: list = []
     cur: EventSpec | None = None
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("--")[0].strip()
         if not line:
             continue
-        words = line.replace(",", " , ").split()
-        head = words[0]
-        if head == "protocol":
-            name = words[1]
-        elif head == "counter":
-            init = words[words.index("init") + 1] if "init" in words else "zero"
-            counters.append(CounterSpec(words[1], init == "param"))
-        elif head == "event":
-            cur = EventSpec(words[1], [{}], {})
+        head, *args = line.replace(",", " , ").split()
+        if head == "protocol" and len(args) == 1:
+            name = args[0]
+        elif head == "counter" and args and args[1:] in ([], ["init", "zero"], ["init", "param"]):
+            counters.append(CounterSpec(args[0], args[2:] == ["param"]))
+        elif head == "event" and len(args) == 1:
+            cur = EventSpec(args[0], [{}], {})
             events.append(cur)
-        elif head == "alt":
+        elif head == "alt" and not args and cur is not None:
             cur.rows.append({})
-        elif head == "guard":
-            # guard <counter> >= <k>
-            cur.rows[-1][words[1]] = int(words[3])
-        elif head == "update":
+        elif head == "guard" and cur is not None and (bounds := _bounds(args)):
+            # guard <counter> >= <k>, ...: conjoined to the current row
+            cur.rows[-1].update(bounds)
+        elif (head == "update" and cur is not None and len(args) % 2 and len(args) > 2
+              and args[1] == ":=" and set(args[3::2]) <= {"+"}):
             # update <counter> := term + term + ...
-            target = words[1]
-            terms = [w for w in words[3:] if w not in ("+", ",")]
-            const = sum(int(t) for t in terms if t.isdigit())
-            refs = [t for t in terms if not t.isdigit()]
-            cur.updates[target] = (const, refs)
-        elif head == "unsafe":
-            bounds = {}
-            i = 1
-            while i < len(words):
-                if words[i] == ",":
-                    i += 1
-                    continue
-                bounds[words[i]] = int(words[i + 2])
-                i += 3
+            terms = args[2::2]
+            const = sum(int(t) for t in terms if t.isdecimal())
+            refs = [t for t in terms if not t.isdecimal()]
+            cur.updates[args[0]] = (const, refs)
+        elif head == "unsafe" and (bounds := _bounds(args)):
             unsafe.append(bounds)
         else:
-            raise LangError(f"bad protocol spec line: {raw!r}")
+            raise LangError(f"bad protocol spec line {n}: {raw.strip()!r}")
     spec = CountingProtocolSpec(name, counters, events, unsafe)
     _validate_spec(spec)
     return spec
@@ -198,6 +203,11 @@ def _validate_spec(spec: CountingProtocolSpec) -> None:
     if len(params) != 1:
         raise LangError("exactly one parameterized counter is required")
     names = {c.name for c in spec.counters}
+    if len(names) != len(spec.counters):
+        raise LangError("counter names must be distinct")
+    # a repeated event would only fire where the first one's guard fails
+    if len({ev.name for ev in spec.events}) != len(spec.events):
+        raise LangError("event names must be distinct")
     for ev in spec.events:
         for row in ev.rows:
             for c, k in row.items():

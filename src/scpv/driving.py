@@ -65,22 +65,9 @@ class Branch(Record):
         _branch_deferred(self, deferred)
 
 
-class StepResult(Record):
-    """A drive step's outcome: ``kind`` 'branches', with ``branches``, or
-    'passive', with the passive ``value``."""
-
-    __slots__ = ("kind", "branches", "value")
-
-    def __init__(self, kind: str, branches: tuple = (), value: Seq = ()):
-        _step_kind(self, kind)
-        _step_branches(self, branches)
-        _step_value(self, value)
-
-
 _branch_contraction, _branch_successor, _branch_tag, _branch_deferred = (
     slot_setters(Branch)
 )
-_step_kind, _step_branches, _step_value = slot_setters(StepResult)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +178,13 @@ class RuleRow(Record):
     is ``ctx``'s (``_plan``). ``tail_call`` is true when ``ctx`` is the bare
     bullet, so the rule's result is the result of its outermost call;
     ``ctx_call`` when ``ctx`` holds a call, so firing it at the bottom of a
-    stack is a let-split (``decompose``)."""
+    stack is a let-split."""
 
-    __slots__ = ("lhs", "rhs", "chain", "ctx", "ctx_plan", "tail_call", "ctx_call")
+    __slots__ = ("lhs", "chain", "ctx", "ctx_plan", "tail_call", "ctx_call")
 
     def __init__(self, lhs: tuple, rhs: Seq):
         chain, ctx = decompose_expr(rhs)
         _row_lhs(self, lhs)
-        _row_rhs(self, rhs)
         _row_chain(self, tuple([
             (c.fname, c.args, tuple([_plan(a) for a in c.args])) for c in chain
         ]))
@@ -208,7 +194,7 @@ class RuleRow(Record):
         _row_ctx_call(self, contains_call(ctx))
 
 
-(_row_lhs, _row_rhs, _row_chain, _row_ctx, _row_ctx_plan, _row_tail_call,
+(_row_lhs, _row_chain, _row_ctx, _row_ctx_plan, _row_tail_call,
  _row_ctx_call) = slot_setters(RuleRow)
 
 # the kinds of instantiation plan: a lone variable is looked up, a
@@ -300,16 +286,15 @@ def _fire_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
     The rule's chain is stacked with fresh labels, the outermost application
     getting the earliest, as ``timed_chain`` stamps them. Its result flows
     into the entry below, which a tail call leaves as it is, or at the bottom
-    of the stack into the tail. The tail holds no call (``check_config``),
-    so there ``decompose`` of the tail with the instantiated ``rhs`` in its
-    bullet is this chain over the tail with ``ctx`` in it, unless ``ctx``
-    holds a call: only such a let-split goes through ``decompose``."""
+    of the stack into the tail. There a ``ctx`` that holds a call makes a
+    let-split: the chain's result is a fresh connector parameter, and only
+    the tail with ``ctx`` in its bullet and the connector in ``ctx``'s is
+    decomposed, into the deferred parts. The tail holds no call
+    (``check_config``), so this is ``decompose`` of the tail with the
+    instantiated right-hand side in its bullet: the same configurations,
+    clock ticks and fresh parameters, in the same order."""
     stack = config.stack
     tail = subst_seq(config.tail, theta)
-    if len(stack) == 1 and row.ctx_call:
-        raw = replace_bullet(tail, _subst_vars(row.rhs, env))
-        succ, deferred = decompose(raw, clock, pgen)
-        return succ, tuple(deferred)
     chain = row.chain
     top = clock.now + len(chain)
     clock.now = top
@@ -318,6 +303,11 @@ def _fire_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
         for i, (fname, _, plans) in enumerate(chain)
     ])
     if len(stack) == 1:
+        if row.ctx_call:
+            connector = pgen.fresh("e")
+            ctx = replace_bullet(_instance(row.ctx_plan, env), (connector,))
+            cont, more = decompose(replace_bullet(tail, ctx), clock, pgen)
+            return Configuration(entries, (BULLET,)), ((connector, cont), *more)
         if not row.tail_call:
             tail = replace_bullet(tail, _instance(row.ctx_plan, env))
         return Configuration(entries, tail), ()
@@ -330,11 +320,12 @@ def _fire_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
 
 
 def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
-          warn=None) -> StepResult:
-    """One driving step of the topmost stack entry; an empty stack is a
-    passive value, its tail holds no call (``check_config``)."""
+          warn=None) -> tuple:
+    """One driving step of the topmost stack entry: its ``Branch``es, in
+    rule order. An empty stack has none: its tail is a passive value, which
+    holds no call (``check_config``)."""
     if not config.stack:
-        return StepResult("passive", value=config.tail)
+        return ()
 
     top = config.stack[0]
     # restore call-by-value order: nested calls in the top's arguments are
@@ -348,9 +339,7 @@ def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
             succ = Configuration(
                 timed_chain(chain, clock) + (newtop,) + config.stack[1:], config.tail
             )
-            return StepResult(
-                "branches", branches=(Branch({}, succ, "decompose"),)
-            )
+            return (Branch({}, succ, "decompose"),)
 
     table = rule_table(prog, top.fname)
     walked = []
@@ -362,12 +351,5 @@ def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
         else:
             succ, deferred = _fire_successor(config, theta, table[ri], env, clock, pgen)
             branches.append(Branch(theta, succ, "fired", deferred))
-    return StepResult("branches", branches=tuple(branches))
+    return tuple(branches)
 
-
-def is_renaming(theta: dict) -> bool:
-    """True when no parameter is split or instantiated to structure."""
-    for p, v in theta.items():
-        if len(v) != 1 or not isinstance(v[0], Param) or v[0].kind != p.kind:
-            return False
-    return True

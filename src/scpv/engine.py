@@ -22,7 +22,7 @@ from .config import (
     subst_seq,
 )
 from .corpus import int_entry_args, self_interpreter
-from .driving import StepResult, drive, is_renaming
+from .driving import drive
 from .encoding import DecodeError, decode_expr
 from .interp import UNDEFINED, FuelExhausted, eval_call
 from .lang import (
@@ -259,16 +259,21 @@ def _note_generalization(trace: Trace, c1: Configuration, c2: Configuration):
 # Transitive chains
 
 
-def _skip_to(res: StepResult, skipped: int, checkpoint: Configuration):
+def _skip_to(branches: tuple, skipped: int, checkpoint: Configuration):
     """The successor a chain skips to after ``skipped`` skips, or None where
     it stops: the step is not transitive, or its successor is the
     checkpoint with labels ignored (a cycle) or, where the checkpoint is
-    about to move, embeds the checkpoint (growth)."""
-    if res.kind != "branches" or len(res.branches) != 1:
+    about to move, embeds the checkpoint (growth).
+
+    A step is transitive when it has one branch, neither stuck nor a task
+    split. Its contraction is empty, since every narrowing gives at least
+    two branches; so the step takes no fresh parameter either."""
+    if len(branches) != 1:
         return None
-    b = res.branches[0]
-    if b.tag == "stuck" or b.deferred or not is_renaming(b.contraction):
+    b = branches[0]
+    if b.tag == "stuck" or b.deferred:
         return None
+    assert not b.contraction, f"a lone branch narrows: {b!r}"
     if _equal_but_labels(b.successor, checkpoint):
         return None
     n = skipped + 1
@@ -438,13 +443,13 @@ class Engine:
         # generalization points and fold targets keep their configuration,
         # other code refers to their parameters
         protected = node.entry_subst is not None or node.id in self.graph.fold_sources
-        node.config, res, skipped = self._skip_chain(node.config, protected)
+        node.config, branches, skipped = self._skip_chain(node.config, protected)
         if skipped:
             self.trace.emit("TransitiveSkip", node=node.id, count=skipped)
 
-        if res.kind == "passive":
+        if not node.config.stack:
             node.kind = "passive"
-            node.value = res.value
+            node.value = node.config.tail
             self.trace.emit("Drive", node=node.id, out="passive")
             self._complete(node)
             if (
@@ -484,14 +489,14 @@ class Engine:
             if self._act_generalize(node, anc_id):
                 return
 
-        self._make_drive(node, res.branches)
+        self._make_drive(node, branches)
 
     # -- transitive chains -----------------------------------------------------
 
     def _skip_chain(self, config: Configuration, protected: bool):
         """Drive ``config`` and, unless ``protected``, skip the transitive
-        steps from it; return the chain's end, the drive of the end and the
-        number of skips.
+        steps from it; return the chain's end, the branches of its drive
+        and the number of skips.
 
         A chain that comes back to its checkpoint, labels ignored, is a
         cycle, and one whose successor embeds the checkpoint grows: the
@@ -506,10 +511,10 @@ class Engine:
         chain that ends at ``start`` is not kept: renaming its end costs
         about as much as driving it.
         """
-        res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
-        start = None if protected else _skip_to(res, 0, config)
+        branches = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
+        start = None if protected else _skip_to(branches, 0, config)
         if start is None:
-            return config, res, 0
+            return config, branches, 0
         self.trace.transitive_steps += 1
         self._check_budget()
         shape = self.graph.shape_key(start)
@@ -520,15 +525,15 @@ class Engine:
             chain = stored.get(key)
             if chain is not None:
                 config, skipped = self._replay(chain, start, params)
-                res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
-                return config, res, skipped
-        base, now = self.pgen.next_num, self.clock.now
+                branches = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
+                return config, branches, skipped
+        now = self.clock.now
         config = checkpoint = start
         skipped = 1
         while True:
-            fresh, ticks = self.pgen.next_num - base, self.clock.now - now
-            res = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
-            succ = _skip_to(res, skipped, checkpoint)
+            ticks = self.clock.now - now
+            branches = drive(config, self.prog, self.clock, self.pgen, self.trace.warn)
+            succ = _skip_to(branches, skipped, checkpoint)
             if succ is None:
                 break
             config = succ
@@ -543,48 +548,43 @@ class Engine:
             self.chains.setdefault(shape, {})[key] = (
                 params,
                 tuple(e.time for e in start.stack),
-                base,
                 now,
                 config,
                 skipped - 1,
-                fresh,
                 ticks,
             )
-        return config, res, skipped
+        return config, branches, skipped
 
     def _replay(self, chain: tuple, start: Configuration, params: tuple):
         """The stored chain's end renamed to run from ``start``, whose
         parameters by first occurrence are ``params``, and the skips; the
-        clock and the ParamGen advance as the drives before the end's did.
+        clock advances as the drives before the end's did.
 
         ``chain`` holds, as driven from its first successor: the successor's
         parameters by first occurrence and its labels top first,
-        ``pgen.next_num`` and ``clock.now`` at the successor, the chain's
-        end, the skips after the first, and how many parameters and labels
-        the chain took before the end was driven.
+        ``clock.now`` at the successor, the chain's end, the skips after the
+        first, and how many labels the chain took before the end was driven.
 
         This is exact: ``drive`` reads labels only to copy them, compares
-        parameters only for equality, and takes fresh labels and parameters
-        only from ``clock.tick()`` and ``pgen.fresh()``, in order. So the
-        successor's parameters and labels map by position, and the ones the
-        chain took map by their offset from where the supplies stood. Only
-        the end's drive, which the caller makes, can warn: a warning comes
-        with two branches, and they end a chain."""
-        old_params, old_labels, base, now, end, skips, fresh, ticks = chain
+        parameters only for equality, and takes fresh labels only by
+        advancing the clock. A transitive step takes no fresh parameter
+        (``_skip_to``), so every parameter of the end is one of the
+        successor's; a KeyError here would mean that one was taken. So the
+        successor's parameters and labels map by position, and the labels
+        the chain took map by their offset from where the clock stood. Only the end's drive, which the caller makes, can warn: a
+        warning comes with two branches, and they end a chain."""
+        old_params, old_labels, now, end, skips, ticks = chain
         pmap = dict(zip(old_params, params))
         lmap = dict(zip(old_labels, (e.time for e in start.stack)))
-        pshift = self.pgen.next_num - base
         lshift = self.clock.now - now
 
         def leaf(p):
-            q = pmap.get(p)
-            return (Param(p.kind, p.num + pshift) if q is None else q,)
+            return (pmap[p],)
 
         def seq(s):
             return map_items(s, HAS_PARAM, leaf)
 
         self.clock.now += ticks
-        self.pgen.next_num += fresh
         self.trace.transitive_steps += skips
         self.trace.transitive_replayed += skips
         self._check_budget()

@@ -200,17 +200,13 @@ class _Emitter:
 
     def __init__(self, graph, entry_id: int, entry_name: str):
         self.g = graph
-        self.entry_id = entry_id
+        # a node is named and queued for emission when first demanded; the
+        # entry is demanded from the start
         self.fn_name: dict[int, str] = {entry_id: entry_name}
+        self.pending: list[int] = [entry_id]
         self.fn_formals: dict[int, list] = {}
         self.emitted: dict[str, FuncDef] = {}
-        self.pending: list[int] = []
         self.need_undef = False
-
-    def name_of(self, nid: int) -> str:
-        if nid not in self.fn_name:
-            self.fn_name[nid] = f"F{nid}"
-        return self.fn_name[nid]
 
     def formals_of(self, nid: int) -> list:
         if nid not in self.fn_formals:
@@ -221,8 +217,10 @@ class _Emitter:
         return self.fn_formals[nid]
 
     def demand(self, nid: int) -> str:
-        name = self.name_of(nid)
-        if name not in self.emitted and nid not in self.pending:
+        """The name of the function that node nid starts."""
+        name = self.fn_name.get(nid)
+        if name is None:
+            name = self.fn_name[nid] = f"F{nid}"
             self.pending.append(nid)
         return name
 
@@ -268,9 +266,7 @@ class _Emitter:
     def emit(self) -> None:
         while self.pending:
             nid = self.pending.pop(0)
-            name = self.name_of(nid)
-            if name in self.emitted:
-                continue
+            name = self.fn_name[nid]
             formals = self.formals_of(nid)
             rules: list[Rule] = []
             self.flatten(nid, {}, formals, rules, root=True)
@@ -315,7 +311,6 @@ def build_residual(graph, entry_id: int, entry_name: str) -> Program:
     from the entry are emitted, which is the dead-code removal pass.
     """
     em = _Emitter(graph, entry_id, entry_name)
-    em.demand(entry_id)
     em.emit()
     defs = list(em.emitted.values())
     if em.need_undef:

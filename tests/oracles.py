@@ -63,7 +63,6 @@ from scpv.driving import (
     _shape_cases,
     _subst_vars,
     drive,
-    is_renaming,
 )
 from scpv.lang import (
     BULLET,
@@ -549,17 +548,23 @@ def narrow_match(pat: Seq, data: Seq, pgen, env=None):
     return succ, fail
 
 
+def is_renaming(theta: dict) -> bool:
+    """True when no parameter is split or instantiated to structure."""
+    for p, v in theta.items():
+        if len(v) != 1 or not isinstance(v[0], Param) or v[0].kind != p.kind:
+            return False
+    return True
+
+
 def is_transitive(config: Configuration, prog: Program) -> bool:
     """A configuration whose one-step unfolding has a single outgoing edge.
 
     Probed by actually driving with throwaway clocks, per the definition.
     """
-    res = drive(config, prog, Clock(10**9), ParamGen(10**9))
-    if res.kind == "passive":
+    branches = drive(config, prog, Clock(10**9), ParamGen(10**9))
+    if len(branches) != 1:  # a passive value has none
         return False
-    if len(res.branches) != 1:
-        return False
-    b = res.branches[0]
+    b = branches[0]
     return b.tag != "stuck" and is_renaming(b.contraction)
 
 
@@ -574,10 +579,10 @@ def ref_skip_chain(config: Configuration, prog: Program, clock: Clock,
     skipped = 0
     checkpoint = config
     while True:
-        res = drive(config, prog, clock, pgen, trace.warn)
-        if res.kind != "branches" or len(res.branches) != 1:
+        branches = drive(config, prog, clock, pgen, trace.warn)
+        if len(branches) != 1:
             break
-        b = res.branches[0]
+        b = branches[0]
         if b.tag == "stuck" or not is_renaming(b.contraction) or b.deferred:
             break
         succ = b.successor
@@ -592,7 +597,7 @@ def ref_skip_chain(config: Configuration, prog: Program, clock: Clock,
         skipped = n
         if n & (n - 1) == 0:
             checkpoint = config
-    return config, res, skipped
+    return config, branches, skipped
 
 
 def ref_fire_successor(config: Configuration, theta: dict, rhs: Seq, env: dict,

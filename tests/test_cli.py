@@ -272,3 +272,51 @@ def test_verify_trace_covers_every_pass(model_file, tmp_path, capsys):
     marker, rest = whole[len(first):].split("\n", 1)
     assert json.loads(marker) == {"v": 1, "ev": "Pass", "pass": 2}
     assert sha256(rest) == PASS_TWO_TRACE
+
+
+SPEC_HEAD = "protocol p\ncounter i init param\ncounter d init zero\n"
+SPEC_EVENT = "event e\n  guard i >= 1\n  update d := d + 1\n"
+
+
+@pytest.mark.parametrize("line, in_event", [
+    ("counter x init", False),
+    ("counter", False),
+    ("event", False),
+    ("guard i >=", True),
+    ("guard i >= two", True),
+    ("alt", False),
+    ("update", True),
+    ("unsafe d >=", False),
+    ("protocol", False),
+    ("guard q", True),
+    ("update d := d d", True),
+])
+def test_malformed_spec_lines_are_errors(line, in_event, tmp_path, capsys):
+    # the line after the event's, or before any event
+    text = SPEC_HEAD + (SPEC_EVENT + line if in_event else line + "\n" + SPEC_EVENT)
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text + "\nunsafe d >= 2\n")
+    assert main(["verify", str(spec)]) == 1
+    err = capsys.readouterr().err
+    n = text.count("\n") + 1 if in_event else SPEC_HEAD.count("\n") + 1
+    assert err == f"error: bad protocol spec line {n}: {line!r}\n"
+
+
+def test_usage_errors_exit_1(model_file, capsys):
+    for argv in (["verify", model_file, "--passes", "3"], ["verify"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+    assert main(["verify", "--help"]) == 0
+    assert "usage: scpv verify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra, what", [
+    ("counter d init zero\n", "counter"),
+    (SPEC_EVENT, "event"),
+])
+def test_repeated_names_are_errors(extra, what, tmp_path, capsys):
+    spec = tmp_path / "dup.spec"
+    spec.write_text(SPEC_HEAD + SPEC_EVENT + extra + "unsafe d >= 2\n")
+    assert main(["verify", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: {what} names must be distinct\n"

@@ -158,8 +158,7 @@ def test_third_match_rule_grows_stack_by_one():
     cfg = Configuration(
         (TimedApp("Match", (arg1, arg2, parse_expr("([])")), 1),), (BULLET,)
     )
-    res = drive(cfg, interp, Clock(10), ParamGen(10))
-    (branch,) = res.branches
+    (branch,) = drive(cfg, interp, Clock(10), ParamGen(10))
     assert len(branch.successor.stack) == len(cfg.stack) + 1
 
 

@@ -24,7 +24,7 @@ from oracles import (
 )
 from scpv.config import Clock, Configuration, ParamGen, TimedApp, check_config, subst_seq
 from scpv.corpus import self_interpreter
-from scpv.driving import Branch, StepResult, _fire_successor, drive, rule_table
+from scpv.driving import Branch, _fire_successor, drive, rule_table
 from scpv.encoding import encode_expr
 from scpv.interp import UNDEFINED, eval_call
 from scpv.lang import BULLET, Paren, Param, Sym, Var, parse_expr, vars_of
@@ -61,8 +61,7 @@ def test_match_unknown_data_not_transitive(interp):
     p = pgen.fresh("e")
     cfg = _call_config("Match", [encode_expr(parse_expr("('q')")), (p,), parse_expr("([])")])
     assert not is_transitive(cfg, interp)
-    res = drive(cfg, interp, Clock(), ParamGen(50))
-    assert len(res.branches) >= 2
+    assert len(drive(cfg, interp, Clock(), ParamGen(50))) >= 2
 
 
 def test_tick_nil_match_branches(interp):
@@ -82,18 +81,17 @@ def test_tick_nil_match_branches(interp):
         ),
         (BULLET,),
     )
-    res = drive(cfg, interp, Clock(10), pgen)
-    assert res.kind == "branches"
-    thetas = [b.contraction.get(p) for b in res.branches]
+    branches = drive(cfg, interp, Clock(10), pgen)
+    thetas = [b.contraction.get(p) for b in branches]
     assert thetas[0] == ()  # success path
-    assert len(res.branches) == 3
+    assert len(branches) == 3
     # the fall-through cases split the parameter by its head shape
     assert any(
         v and isinstance(v[0], Param) and v[0].kind == "s" for v in thetas[1:]
     )
     assert any(v and isinstance(v[0], Paren) for v in thetas[1:])
     # both fall-through successors run the final Match rule producing F
-    for b in res.branches[1:]:
+    for b in branches[1:]:
         top = b.successor.stack[0]
         assert top.fname == "Matching"
         assert top.args[0] == (Sym("F"),)
@@ -112,9 +110,7 @@ def test_drive_matches_evaluator_on_ground(syn):
         if fn == "Loop":
             d = parse_expr(f"({t}) (Invalid I {k}) (Dirty) (Valid)")
         cfg = _call_config(fn, [d])
-        res = drive(cfg, syn, Clock(), ParamGen())
-        assert res.kind == "branches" and len(res.branches) == 1
-        b = res.branches[0]
+        (b,) = drive(cfg, syn, Clock(), ParamGen())
         direct = eval_call(syn, fn, [d])
         if b.tag == "stuck":
             assert direct is UNDEFINED
@@ -155,7 +151,8 @@ def test_fire_successor_agrees_with_reference(case, data):
     prog, fname, i = case
     row = rule_table(prog, fname)[i]
     draw = data.draw
-    env = draw_env(draw, vars_of(row.rhs), open_data)
+    rhs = prog.rules(fname)[i].rhs
+    env = draw_env(draw, vars_of(rhs), open_data)
     below = tuple(
         TimedApp("F", (draw(open_data),) * draw(st.integers(0, 1)) + (_holed(draw),), t)
         for t in range(2, 2 + draw(st.integers(0, 2)))
@@ -170,17 +167,39 @@ def test_fire_successor_agrees_with_reference(case, data):
     now, num = draw(st.integers(10, 40)), draw(st.integers(100, 140))
     clock, pgen, ref_clock, ref_pgen = Clock(now), ParamGen(num), Clock(now), ParamGen(num)
     got = _fire_successor(config, theta, row, env, clock, pgen)
-    assert got == ref_fire_successor(config, theta, row.rhs, env, ref_clock, ref_pgen)
+    assert got == ref_fire_successor(config, theta, rhs, env, ref_clock, ref_pgen)
     assert (clock.now, pgen.next_num) == (ref_clock.now, ref_pgen.next_num)
     if row.tail_call and below and not theta:
         assert got[0].stack[len(row.chain)] is below[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ALL_RULES), st.data())
+def test_a_lone_fired_branch_narrows_nothing(case, data):
+    # every narrowing gives at least two branches, so a drive with one
+    # branch, neither stuck nor a task split, has an empty contraction and
+    # takes no fresh parameter: the transitive skip and its replay rely on it
+    prog, fname, _ = case
+    draw = data.draw
+    below = tuple(
+        TimedApp("F", (draw(open_data),) * draw(st.integers(0, 1)) + (_holed(draw),), t)
+        for t in range(2, 2 + draw(st.integers(0, 2)))
+    )
+    top = TimedApp(fname, tuple(draw(open_data) for _ in range(prog.arity(fname))), 1)
+    config = Configuration((top,) + below, _holed(draw))
+    num = draw(st.integers(100, 140))
+    pgen = ParamGen(num)
+    branches = drive(config, prog, Clock(draw(st.integers(10, 40))), pgen)
+    if len(branches) == 1 and branches[0].tag != "stuck" and not branches[0].deferred:
+        assert branches[0].contraction == {}
+        assert pgen.next_num == num
 
 
 def test_tail_call_keeps_the_entry_below(syn):
     # Main's right-hand side is a call of Loop: its result is Main's
     below = TimedApp("Append", ((Paren((BULLET,)),), parse_expr("('a')")), 0)
     cfg = Configuration((TimedApp("Main", (parse_expr("(rm) (I)"),), 1), below), (BULLET,))
-    (branch,) = drive(cfg, syn, Clock(5), ParamGen()).branches
+    (branch,) = drive(cfg, syn, Clock(5), ParamGen())
     assert [e.fname for e in branch.successor.stack] == ["Loop", "Append"]
     assert branch.successor.stack[1] is below
 
@@ -280,36 +299,29 @@ def _instance_of(ground, shape):
 
 def test_passive_steps(syn):
     cfg = Configuration((), parse_expr("'a' ('b')"))
-    res = drive(cfg, syn, Clock(), ParamGen())
-    assert res.kind == "passive" and res.value == parse_expr("'a' ('b')")
+    assert drive(cfg, syn, Clock(), ParamGen()) == ()
 
 
-def _step_records():
+def _branch():
     succ = _call_config("Main", [parse_expr("(rm) (I)")])
-    branch = Branch({Param("e", 1): parse_expr("'a'")}, succ, "fired")
-    return branch, StepResult("branches", branches=(branch,))
+    return Branch({Param("e", 1): parse_expr("'a'")}, succ, "fired")
 
 
 def test_step_records_are_frozen():
-    for r in _step_records():
-        for name in type(r).__slots__:
-            with pytest.raises(FrozenInstanceError):
-                setattr(r, name, None)
-            with pytest.raises(FrozenInstanceError):
-                delattr(r, name)
+    r = _branch()
+    for name in type(r).__slots__:
+        with pytest.raises(FrozenInstanceError):
+            setattr(r, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(r, name)
 
 
 def test_step_records_compare_copy_and_print_as_before():
-    for r, twin in zip(_step_records(), _step_records()):
-        assert r is not twin and r == twin
-        for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
-            assert type(c) is type(r) and c == r
-    branch, step = _step_records()
-    assert branch != Branch(branch.contraction, branch.successor, "stuck")
+    r, twin = _branch(), _branch()
+    assert r is not twin and r == twin
+    for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(c) is type(r) and c == r
+    assert r != Branch(r.contraction, r.successor, "stuck")
     assert repr(Branch({}, None, "stuck")) == (
         "Branch(contraction={}, successor=None, tag='stuck', deferred=())"
     )
-    assert repr(StepResult("passive", value=parse_expr("'a'"))) == (
-        "StepResult(kind='passive', branches=(), value=('a',))"
-    )
-    assert repr(step) == f"StepResult(kind='branches', branches=({branch!r},), value=())"

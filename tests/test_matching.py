@@ -141,10 +141,11 @@ ALL_RULES = models.shipped_rules()
 def test_predecomposition_commutes_with_instantiation(case, data):
     prog, fname, i = case
     row = rule_table(prog, fname)[i]
+    rhs = prog.rules(fname)[i].rhs
     chain = [Call(f, args) for f, args, _ in row.chain]
-    assert (chain, row.ctx) == decompose_expr(row.rhs)
-    env = draw_env(data.draw, vars_of(row.rhs), open_data)
-    want = decompose_expr(_subst_vars(row.rhs, env))
+    assert (chain, row.ctx) == decompose_expr(rhs)
+    env = draw_env(data.draw, vars_of(rhs), open_data)
+    want = decompose_expr(_subst_vars(rhs, env))
     inst = [Call(c.fname, tuple(_subst_vars(a, env) for a in c.args)) for c in chain]
     assert (inst, _subst_vars(row.ctx, env)) == want
     # each plan instantiates its sequence as _subst_vars does, and a looked-up

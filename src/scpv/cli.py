@@ -7,6 +7,7 @@ import json
 import sys
 
 from .corpus import generate_model, parse_protocol_spec
+from .driving import NotSupported
 from .encoding import decode_program, encode_program
 from .engine import (
     BudgetExceeded,
@@ -18,7 +19,7 @@ from .engine import (
     supercompile,
     verify_protocol,
 )
-from .interp import UNDEFINED, FuelExhausted, eval_call
+from .interp import DEFAULT_FUEL, UNDEFINED, FuelExhausted, eval_call
 from .lang import LangError, is_ground, parse_expr, parse_program, print_program, print_seq
 
 EXIT_OK = 0
@@ -76,7 +77,7 @@ def cmd_run(args) -> int:
         print("error: run takes ground data: symbols and parens", file=sys.stderr)
         return EXIT_ERROR
     try:
-        out = eval_call(prog, args.function, argv)
+        out = eval_call(prog, args.function, argv, fuel=args.fuel)
     except FuelExhausted as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
@@ -181,6 +182,8 @@ def main(argv=None) -> int:
     p.add_argument("function")
     p.add_argument("data")
     p.add_argument("more", nargs="*")
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+                   help="evaluation steps before a budget exit")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("encode", help="emit the encoded form of a program")
@@ -219,6 +222,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (LangError, PropertyViolation, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except NotSupported as e:
+        # direct driving narrows only what the patterns can split; the
+        # self-interpreter's own rules have no repeated e-variable
+        print(f"error: {e}; --mode indirect accepts the rule", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -9,6 +9,7 @@ needs to be recorded.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from .config import (
@@ -39,7 +40,6 @@ from .lang import (
     Var,
     contains_call,
     is_ground,
-    map_items,
     seq_flags,
     slot_setters,
 )
@@ -70,92 +70,7 @@ _branch_contraction, _branch_successor, _branch_tag, _branch_deferred = (
 )
 
 
-# ---------------------------------------------------------------------------
-# Three-valued matching over parameterized data
-
-
-def _subst_vars(seq: Seq, env: dict) -> Seq:
-    """Instantiate a rule's variables; an unbound one raises KeyError."""
-    return map_items(seq, HAS_VAR, env.__getitem__)
-
-
 FAIL = ("fail",)
-
-
-def _match_one(pat: Seq, data: Seq, env: dict):
-    """Match one pattern against one parameterized argument.
-
-    Binds into ``env`` in place. Returns None on a match, FAIL, or a
-    narrowing request: ('shape', eparam) or ('sym', sparam, item) — the
-    latter is an ordered decision: equal first, fall through otherwise.
-    After FAIL or a request ``env`` may hold partial bindings; callers
-    start every rule attempt from a fresh dict.
-    """
-    i = j = 0
-    while True:
-        if i >= len(pat):
-            if j >= len(data):
-                return None
-            d = data[j]
-            if type(d) is Param and d.kind == "e":
-                return ("shape", d)
-            return FAIL
-        p = pat[i]
-        tp = type(p)
-        if tp is Var and p.kind == "e":
-            rest = data[j:]
-            bound = env.get(p)
-            if bound is None:
-                env[p] = rest
-                return None
-            if bound == rest:
-                return None
-            if is_ground(bound) and is_ground(rest):
-                return FAIL
-            raise NotSupported(f"repeated e-variable {p!r} against open data")
-        if j >= len(data):
-            return FAIL
-        d = data[j]
-        td = type(d)
-        if td is Param and d.kind == "e":
-            return ("shape", d)
-        if td is Call or td is Bullet:
-            raise AssertionError(f"active or bullet data in matching: {d!r}")
-        if tp is Paren:
-            if td is not Paren:
-                return FAIL
-            got = _match_one(p.items, d.items, env)
-            if got is not None:
-                return got
-        elif tp is not Sym and tp is not Var:
-            raise AssertionError(f"bad pattern item {p!r}")
-        elif td is Paren:
-            return FAIL
-        elif tp is Var and p not in env:  # an unbound s-variable
-            env[p] = (d,)
-        else:
-            # a symbol, or the symbol or s-parameter bound to an s-variable,
-            # against a symbol or an s-parameter d; where they differ, a
-            # decision on d if d is a parameter, else on the bound one, and
-            # no match between two symbols
-            want = p if tp is Sym else env[p][0]
-            if d != want:
-                if td is Param:
-                    return ("sym", d, want)
-                if type(want) is Sym:
-                    return FAIL
-                return ("sym", want, d)
-        i += 1
-        j += 1
-
-
-def _match_rule(lhs: tuple, args: tuple, env: dict):
-    """Match every argument in turn; the result as for ``_match_one``."""
-    for pat, d in zip(lhs, args):
-        got = _match_one(pat, d, env)
-        if got is not None:
-            return got
-    return None
 
 
 def _shape_cases(e: Param, pgen: ParamGen):
@@ -167,69 +82,250 @@ def _shape_cases(e: Param, pgen: ParamGen):
 
 
 # ---------------------------------------------------------------------------
+# Rules compiled to Python, once per pattern structure
+#
+# A rule's matcher and its right-hand side builder are Python functions
+# generated from the rule's structure alone: paren nesting, the positions of
+# symbols and variables, and which occurrence of a variable binds it. Every
+# symbol, variable, function name and message reaches the function as a
+# closure constant ``K<i>``, so no program text is ever compiled, and rules of
+# one structure share one compiled factory.
+
+
+def _active_data(x) -> AssertionError:
+    return AssertionError(f"active or bullet data in matching: {x!r}")
+
+
+# the names generated code refers to; the source holds no string literal
+_GENERATED_GLOBALS = {
+    "FAIL": FAIL, "SHAPE": "shape", "SYM": "sym", "E": "e",
+    "Sym": Sym, "Param": Param, "Paren": Paren, "Call": Call, "Bullet": Bullet,
+    "TimedApp": TimedApp, "NotSupported": NotSupported,
+    "is_ground": is_ground, "active_data": _active_data,
+}
+
+
+class _Source:
+    """The body of one generated function, and the constants it names."""
+
+    def __init__(self):
+        self.lines = []
+        self.consts = []
+        self.locals = 0
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"K{len(self.consts) - 1}"
+
+    def local(self, prefix: str) -> str:
+        self.locals += 1
+        return f"{prefix}{self.locals}"
+
+    def emit(self, line: str) -> None:
+        self.lines.append("        " + line)
+
+    def finish(self, name: str, params: str) -> tuple:
+        """(source, constants): the source defines ``make(K0, ...)``, which
+        returns the function ``name(params)``."""
+        consts = ", ".join(f"K{i}" for i in range(len(self.consts)))
+        body = "\n".join(self.lines)
+        src = f"def make({consts}):\n    def {name}({params}):\n{body}\n    return {name}\n"
+        return src, tuple(self.consts)
+
+
+@lru_cache(maxsize=512)
+def _compiled(src: str):
+    """The factory ``make`` that src defines; cached by source, which is a
+    rule's structure, as ``re`` caches compiled patterns."""
+    names = dict(_GENERATED_GLOBALS)
+    exec(compile(src, "<scpv rule>", "exec"), names)
+    return names["make"]
+
+
+def _match_level(s: _Source, pat: Seq, d: str, bound: dict, order: list) -> None:
+    """Emit the match of one pattern level against the data sequence in
+    local ``d``; control falls through on a match. ``bound`` maps each
+    variable bound so far to its local, ``order`` lists the bindings."""
+    n = s.local("n")
+    if not pat or not (type(pat[0]) is Var and pat[0].kind == "e"):
+        s.emit(f"{n} = len({d})")
+    for i, p in enumerate(pat):
+        tp = type(p)
+        if tp is Var and p.kind == "e":
+            # the rest of the level; any items after it are never looked at
+            rest = f"{d}[{i}:]" if i else d
+            w = bound.get(p)
+            if w is None:
+                v = bound[p] = s.local("v")
+                order.append((s.const(p), v))
+                s.emit(f"{v} = {rest}")
+            else:
+                msg = s.const(f"repeated e-variable {p!r} against open data")
+                r = s.local("r")
+                s.emit(f"{r} = {rest}")
+                s.emit(f"if {r} != {w}:")
+                s.emit(f"    if is_ground({w}) and is_ground({r}): return FAIL")
+                s.emit(f"    raise NotSupported({msg})")
+            return
+        x = s.local("x")
+        s.emit(f"if {n} <= {i}: return FAIL")
+        s.emit(f"{x} = {d}[{i}]")
+        if tp is Sym:
+            k = s.const(p)
+            s.emit(f"if {x} is not {k}:")
+            s.emit(f"    if type({x}) is Param:")
+            s.emit(f"        return (SHAPE, {x}) if {x}.kind == E else (SYM, {x}, {k})")
+            s.emit(f"    if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
+            s.emit("    return FAIL")
+        elif tp is Var and p in bound:  # a repeated s-variable
+            w = bound[p]
+            s.emit(f"if {x} is not {w}:")
+            s.emit(f"    if type({x}) is Param:")
+            s.emit(f"        return (SHAPE, {x}) if {x}.kind == E else (SYM, {x}, {w})")
+            s.emit(f"    if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
+            s.emit(f"    if type({x}) is Paren or type({w}) is Sym: return FAIL")
+            s.emit(f"    return (SYM, {w}, {x})")
+        elif tp is Var:  # an s-variable's first occurrence binds it
+            bound[p] = x
+            order.append((s.const(p), f"({x},)"))
+            s.emit(f"if type({x}) is not Sym:")
+            s.emit(f"    if type({x}) is Param and {x}.kind == E: return (SHAPE, {x})")
+            s.emit(f"    if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
+            s.emit(f"    if type({x}) is Paren: return FAIL")
+        elif tp is Paren:
+            s.emit(f"if type({x}) is not Paren:")
+            s.emit(f"    if type({x}) is Param and {x}.kind == E: return (SHAPE, {x})")
+            s.emit(f"    if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
+            s.emit("    return FAIL")
+            items = s.local("d")
+            s.emit(f"{items} = {x}.items")
+            _match_level(s, p.items, items, bound, order)
+        else:
+            s.emit(f"if type({x}) is Param and {x}.kind == E: return (SHAPE, {x})")
+            s.emit(f"if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
+            s.emit(f"raise AssertionError({s.const(f'bad pattern item {p!r}')})")
+            return
+    x = s.local("x")
+    s.emit(f"if {n} > {len(pat)}:")
+    s.emit(f"    {x} = {d}[{len(pat)}]")
+    s.emit(f"    return (SHAPE, {x}) if type({x}) is Param and {x}.kind == E else FAIL")
+
+
+def _match_source(lhs: tuple) -> tuple:
+    """The source and constants of ``match(args)``: the rule's bindings, as
+    a dict in binding order, when every argument matches its pattern, in
+    turn; otherwise FAIL or a narrowing request: ('shape', eparam) or
+    ('sym', sparam, item), the latter an ordered decision: equal first,
+    fall through otherwise."""
+    s = _Source()
+    args = [s.local("a") for _ in lhs]
+    if args:
+        s.emit(f"{', '.join(args)}, = args")
+    bound, order = {}, []
+    for pat, a in zip(lhs, args):
+        _match_level(s, pat, a, bound, order)
+    s.emit("return {" + ", ".join(f"{k}: {v}" for k, v in order) + "}")
+    return s.finish("match", "args")
+
+
+def _seq_expr(s: _Source, seq: Seq, lookup) -> str:
+    """An expression for seq with each variable replaced by its value in
+    ``env``: a lone variable's value and a variable-free sequence are the
+    same objects, not copies."""
+    if not seq_flags(seq) & HAS_VAR:
+        return s.const(seq)
+    if len(seq) == 1 and type(seq[0]) is Var:
+        return lookup(seq[0])
+    return _tuple_expr(s, seq, lookup)
+
+
+def _tuple_expr(s: _Source, seq: Seq, lookup) -> str:
+    # each rebuilt paren or call goes into a local of its own, so that the
+    # source nests no deeper than the compiler allows, whatever the rule's
+    # nesting
+    parts = []
+    for it in seq:
+        if not it.flags & HAS_VAR:
+            parts.append(s.const(it))
+        elif type(it) is Var:
+            parts.append("*" + lookup(it))
+        else:
+            if type(it) is Paren:
+                made = f"Paren({_tuple_expr(s, it.items, lookup)})"
+            else:
+                args = "".join(_seq_expr(s, a, lookup) + ", " for a in it.args)
+                made = f"Call({s.const(it.fname)}, ({args}))"
+            t = s.local("t")
+            s.emit(f"{t} = {made}")
+            parts.append(t)
+    return "(" + "".join(p + ", " for p in parts) + ")"
+
+
+def _build_source(chain: tuple, ctx: Seq) -> tuple:
+    """The source and constants of ``build(env, top)``: the chain's entries
+    with the variables of ``env`` in their arguments, labelled ``top``,
+    ``top - 1``, ... from the outermost application, and ``ctx`` with them."""
+    s = _Source()
+    lookups = {}
+
+    def lookup(v):
+        local = lookups.get(v)
+        if local is None:
+            local = lookups[v] = s.local("v")
+            s.emit(f"{local} = env[{s.const(v)}]")
+        return local
+
+    entries = []
+    for i, c in enumerate(chain):
+        args = "".join(_seq_expr(s, a, lookup) + ", " for a in c.args)
+        when = f"top - {i}" if i else "top"
+        entries.append(f"TimedApp({s.const(c.fname)}, ({args}), {when}), ")
+    ctx = _seq_expr(s, ctx, lookup)
+    s.emit(f"return ({''.join(entries)}), {ctx}")
+    return s.finish("build", "env, top")
+
+
+# ---------------------------------------------------------------------------
 # Driving proper
 
 
 class RuleRow(Record):
     """One rule of a function, compiled for firing.
 
-    ``chain`` and ``ctx`` are ``decompose_expr(rhs)``; each chain entry is
-    ``(fname, args, plans)``, with one plan per argument, and ``ctx_plan``
-    is ``ctx``'s (``_plan``). ``tail_call`` is true when ``ctx`` is the bare
-    bullet, so the rule's result is the result of its outermost call;
-    ``ctx_call`` when ``ctx`` holds a call, so firing it at the bottom of a
-    stack is a let-split."""
+    ``chain`` and ``ctx`` are ``decompose_expr(rhs)``, the chain as a tuple.
+    ``match(args)`` matches the rule's patterns (``_match_source``), and
+    ``build(env, top)`` gives the chain's entries and ``ctx`` under the
+    bindings ``env`` (``_build_source``). ``tail_call`` is true when ``ctx``
+    is the bare bullet, so the rule's result is the result of its outermost
+    call; ``ctx_call`` when ``ctx`` holds a call, so firing it at the bottom
+    of a stack is a let-split."""
 
-    __slots__ = ("lhs", "chain", "ctx", "ctx_plan", "tail_call", "ctx_call")
+    __slots__ = ("chain", "ctx", "match", "build", "tail_call", "ctx_call")
 
     def __init__(self, lhs: tuple, rhs: Seq):
         chain, ctx = decompose_expr(rhs)
-        _row_lhs(self, lhs)
-        _row_chain(self, tuple([
-            (c.fname, c.args, tuple([_plan(a) for a in c.args])) for c in chain
-        ]))
+        chain = tuple(chain)
+        src, consts = _match_source(lhs)
+        _row_match(self, _compiled(src)(*consts))
+        src, consts = _build_source(chain, ctx)
+        _row_build(self, _compiled(src)(*consts))
+        _row_chain(self, chain)
         _row_ctx(self, ctx)
-        _row_ctx_plan(self, _plan(ctx))
         _row_tail_call(self, ctx == (BULLET,))
         _row_ctx_call(self, contains_call(ctx))
 
 
-(_row_lhs, _row_chain, _row_ctx, _row_ctx_plan, _row_tail_call,
+(_row_chain, _row_ctx, _row_match, _row_build, _row_tail_call,
  _row_ctx_call) = slot_setters(RuleRow)
-
-# the kinds of instantiation plan: a lone variable is looked up, a
-# variable-free sequence is shared, any other is rebuilt
-LOOKUP, SHARE, REBUILD = "lookup", "share", "rebuild"
-
-
-def _plan(seq: Seq) -> tuple:
-    """How ``_instance`` instantiates seq: ``(kind, what)``."""
-    if len(seq) == 1 and type(seq[0]) is Var:
-        return LOOKUP, seq[0]
-    if not seq_flags(seq) & HAS_VAR:
-        return SHARE, seq
-    return REBUILD, seq
-
-
-def _instance(plan: tuple, env: dict) -> Seq:
-    """``_subst_vars`` of the planned sequence; a looked-up or shared one is
-    the same object, not a copy."""
-    kind, what = plan
-    if kind == LOOKUP:
-        return env[what]
-    if kind == SHARE:
-        return what
-    return _subst_vars(what, env)
 
 
 def rule_table(prog: Program, fname: str) -> tuple:
     """The rules of ``fname`` as ``RuleRow``s, built on first use and kept
     on the program.
 
-    Decomposing before instantiation is exact:
-    ``decompose_expr(_subst_vars(rhs, env))`` is the chain with
-    ``_subst_vars`` applied to each argument, and ``_subst_vars(ctx, env)``.
-    The values of ``env`` come from the top entry's arguments, which hold no
+    Decomposing before instantiation is exact: decomposing the right-hand
+    side with the bindings ``env`` substituted gives the chain with ``env``
+    substituted in each argument, and ``ctx`` with ``env``. The values of ``env`` come from the top entry's arguments, which hold no
     call (nested calls are hoisted before a rule fires) and no bullet
     (``check_config``), so substitution moves no call and adds no bullet.
     """
@@ -246,12 +342,11 @@ def _walk(table, args, theta, start, pgen, warn, out):
     """Ordered branch enumeration: append (theta, kind, rule_idx, env) to out."""
     # module-level rather than a closure, which would be rebuilt on every drive
     for ri in range(start, len(table)):
-        env = {}
-        req = _match_rule(table[ri].lhs, args, env)
+        req = table[ri].match(args)
         if req is FAIL:
             continue
-        if req is None:
-            out.append((theta, "fire", ri, env))
+        if type(req) is dict:
+            out.append((theta, "fire", ri, req))
             return
         if req[0] == "shape":
             for case in _shape_cases(req[1], pgen):
@@ -295,27 +390,23 @@ def _fire_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
     clock ticks and fresh parameters, in the same order."""
     stack = config.stack
     tail = subst_seq(config.tail, theta)
-    chain = row.chain
-    top = clock.now + len(chain)
+    top = clock.now + len(row.chain)
     clock.now = top
-    entries = tuple([
-        TimedApp(fname, tuple([_instance(p, env) for p in plans]), top - i)
-        for i, (fname, _, plans) in enumerate(chain)
-    ])
+    entries, ctx = row.build(env, top)
     if len(stack) == 1:
         if row.ctx_call:
             connector = pgen.fresh("e")
-            ctx = replace_bullet(_instance(row.ctx_plan, env), (connector,))
+            ctx = replace_bullet(ctx, (connector,))
             cont, more = decompose(replace_bullet(tail, ctx), clock, pgen)
             return Configuration(entries, (BULLET,)), ((connector, cont), *more)
         if not row.tail_call:
-            tail = replace_bullet(tail, _instance(row.ctx_plan, env))
+            tail = replace_bullet(tail, ctx)
         return Configuration(entries, tail), ()
     below = stack[1:]
     if theta:
         below = tuple([subst_app(e, theta) for e in below])
     if not row.tail_call:
-        below = (plug_app(below[0], _instance(row.ctx_plan, env)),) + below[1:]
+        below = (plug_app(below[0], ctx),) + below[1:]
     return Configuration(entries + below, tail), ()
 
 
@@ -343,7 +434,10 @@ def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
 
     table = rule_table(prog, top.fname)
     walked = []
-    _walk(table, top.args, {}, 0, pgen, warn, walked)
+    try:
+        _walk(table, top.args, {}, 0, pgen, warn, walked)
+    except NotSupported as e:
+        raise NotSupported(f"{e}, in a rule of {top.fname}") from None
     branches = []
     for theta, kind, ri, env in walked:
         if kind == "stuck":

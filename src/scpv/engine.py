@@ -355,8 +355,9 @@ class Engine:
         self.tasks.append(node.id)
 
     def _kill_below(self, nid: int) -> None:
-        """Remove the sub-tree below nid and its nodes from the agenda; then
-        reopen surviving fold sources whose target was removed."""
+        """Remove the sub-tree below nid and its nodes from the agenda and
+        from the fold-target indexes; then reopen surviving fold sources
+        whose target was removed."""
         node = self.graph.node(nid)
         stack = [cid for _, cid in node.children]
         node.children = []
@@ -369,6 +370,14 @@ class Engine:
                 stack.extend(cid for _, cid in child.children)
         # every node below nid is dead before any source is reopened
         self.agenda = [a for a in self.agenda if not self.graph.node(a).dead]
+        # a node keeps its stack shape for life (msg keeps it), so a killed
+        # id sits under its shape's key; the live ids keep completion order
+        graph = self.graph
+        for key in {graph.shape_key(graph.node(k).config) for k in killed}:
+            for index in (graph.by_shape, graph.task_roots):
+                ids = index.get(key)
+                if ids:
+                    index[key] = [i for i in ids if not graph.node(i).dead]
         for tid in killed:
             for sid in self.graph.fold_sources.pop(tid, ()):
                 self._reopen(sid, f"target {tid} removed")

@@ -30,7 +30,7 @@ ever assigned afterwards (assignment raises), because that would leave
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, Optional, Union
 
 
@@ -383,18 +383,34 @@ def is_sym_kind(it) -> bool:
 def map_items(seq: Seq, mask: int, leaf) -> Seq:
     """seq rebuilt with every leaf item whose flags meet ``mask`` replaced by
     the sequence ``leaf(item)``; parens and calls whose flags miss ``mask``
-    are kept without being entered."""
+    are kept without being entered. What comes out unchanged is the same
+    object, with its cached hash: a paren or call none of whose children
+    changed, and seq itself when none of its items did."""
     out = []
+    same = True
     for it in seq:
         if not it.flags & mask:
             out.append(it)
         elif type(it) is Paren:
-            out.append(Paren(map_items(it.items, mask, leaf)))
+            items = map_items(it.items, mask, leaf)
+            if items is it.items:
+                out.append(it)
+            else:
+                out.append(Paren(items))
+                same = False
         elif type(it) is Call:
-            out.append(Call(it.fname, tuple(map_items(a, mask, leaf) for a in it.args)))
+            args = tuple([map_items(a, mask, leaf) for a in it.args])
+            if all(map(is_, args, it.args)):
+                out.append(it)
+            else:
+                out.append(Call(it.fname, args))
+                same = False
         else:
-            out.extend(leaf(it))
-    return tuple(out)
+            new = leaf(it)
+            out.extend(new)
+            if len(new) != 1 or new[0] is not it:
+                same = False
+    return seq if same else tuple(out)
 
 
 def map_calls(seq: Seq, call) -> Seq:

@@ -10,7 +10,10 @@ whose structure flags show that nothing below them can change.
 The reference rule matcher at the end copies its env at each binding, and
 the reference fold matcher enters every pattern item; the packaged ones bind
 in place and decide parameter-free pattern items by equality, and are
-checked against them. The reference rule-subsumption matcher is the
+checked against them. The interpretive rule matcher and ``subst_vars`` walk
+a rule's patterns and right-hand side item by item on every firing, as
+driving did before it compiled each rule (``driving.RuleRow``), and
+``ref_drive`` drives with them. The reference rule-subsumption matcher is the
 recursive variable matcher that residual cleanup used before folding and
 subsumption shared ``lang.inst_seq``.
 
@@ -58,10 +61,9 @@ from scpv.config import (
 )
 from scpv.driving import (
     FAIL,
+    Branch,
     NotSupported,
-    _match_one,
     _shape_cases,
-    _subst_vars,
     drive,
 )
 from scpv.lang import (
@@ -429,6 +431,123 @@ def naive_split_leftmost_call(seq: Seq):
 # matching that enters every pattern item
 
 
+def subst_vars(seq: Seq, env: dict) -> Seq:
+    """Instantiate a rule's variables; an unbound one raises KeyError."""
+    return map_items(seq, HAS_VAR, env.__getitem__)
+
+
+def interp_match_one(pat: Seq, data: Seq, env: dict):
+    """Match one pattern against one parameterized argument.
+
+    Binds into ``env`` in place. Returns None on a match, FAIL, or a
+    narrowing request: ('shape', eparam) or ('sym', sparam, item) — the
+    latter is an ordered decision: equal first, fall through otherwise.
+    After FAIL or a request ``env`` may hold partial bindings; callers
+    start every rule attempt from a fresh dict.
+    """
+    i = j = 0
+    while True:
+        if i >= len(pat):
+            if j >= len(data):
+                return None
+            d = data[j]
+            if type(d) is Param and d.kind == "e":
+                return ("shape", d)
+            return FAIL
+        p = pat[i]
+        tp = type(p)
+        if tp is Var and p.kind == "e":
+            rest = data[j:]
+            bound = env.get(p)
+            if bound is None:
+                env[p] = rest
+                return None
+            if bound == rest:
+                return None
+            if is_ground(bound) and is_ground(rest):
+                return FAIL
+            raise NotSupported(f"repeated e-variable {p!r} against open data")
+        if j >= len(data):
+            return FAIL
+        d = data[j]
+        td = type(d)
+        if td is Param and d.kind == "e":
+            return ("shape", d)
+        if td is Call or td is Bullet:
+            raise AssertionError(f"active or bullet data in matching: {d!r}")
+        if tp is Paren:
+            if td is not Paren:
+                return FAIL
+            got = interp_match_one(p.items, d.items, env)
+            if got is not None:
+                return got
+        elif tp is not Sym and tp is not Var:
+            raise AssertionError(f"bad pattern item {p!r}")
+        elif td is Paren:
+            return FAIL
+        elif tp is Var and p not in env:  # an unbound s-variable
+            env[p] = (d,)
+        else:
+            # a symbol, or the symbol or s-parameter bound to an s-variable,
+            # against a symbol or an s-parameter d; where they differ, a
+            # decision on d if d is a parameter, else on the bound one, and
+            # no match between two symbols
+            want = p if tp is Sym else env[p][0]
+            if d != want:
+                if td is Param:
+                    return ("sym", d, want)
+                if type(want) is Sym:
+                    return FAIL
+                return ("sym", want, d)
+        i += 1
+        j += 1
+
+
+def interp_match_rule(lhs: tuple, args: tuple, env: dict):
+    """Match every argument in turn; the result as for ``interp_match_one``."""
+    for pat, d in zip(lhs, args):
+        got = interp_match_one(pat, d, env)
+        if got is not None:
+            return got
+    return None
+
+
+def ref_drive(config: Configuration, prog: Program, clock: Clock,
+              pgen: ParamGen) -> tuple:
+    """``drive`` of a configuration whose top entry holds no call, with the
+    interpretive matcher and the reference rule firing."""
+    top = config.stack[0]
+    rules = prog.rules(top.fname)
+    walked = []
+
+    def walk(args, theta, start):
+        for ri in range(start, len(rules)):
+            env = {}
+            req = interp_match_rule(rules[ri].lhs, args, env)
+            if req is FAIL:
+                continue
+            if req is None:
+                walked.append((theta, ri, env))
+                return
+            cases = _shape_cases(req[1], pgen) if req[0] == "shape" else [{req[1]: (req[2],)}]
+            for case in cases:
+                walk(tuple(subst_seq(a, case) for a in args), compose_subst(theta, case), ri)
+            if req[0] == "sym":
+                walk(args, theta, ri + 1)
+            return
+        walked.append((theta, None, None))
+
+    walk(top.args, {}, 0)
+    out = []
+    for theta, ri, env in walked:
+        if ri is None:
+            out.append(Branch(theta, None, "stuck"))
+        else:
+            succ, deferred = ref_fire_successor(config, theta, rules[ri].rhs, env, clock, pgen)
+            out.append(Branch(theta, succ, "fired", deferred))
+    return tuple(out)
+
+
 def ref_match_one(pat: Seq, data: Seq, env: dict):
     """Returns ('ok', env) | ('fail',) | ('need', request), never mutating
     the env it is given."""
@@ -528,7 +647,7 @@ def narrow_match(pat: Seq, data: Seq, pgen, env=None):
 
     def walk(d, theta, env):
         bound = dict(env)
-        req = _match_one(pat, d, bound)
+        req = interp_match_one(pat, d, bound)
         if req is None:
             succ.append((theta, bound))
             return
@@ -613,12 +732,12 @@ def ref_fire_successor(config: Configuration, theta: dict, rhs: Seq, env: dict,
         times = [clock.tick() for _ in chain]
         # chain is innermost-first; the outermost gets the earliest label
         entries = tuple([
-            TimedApp(c.fname, tuple([_subst_vars(a, env) for a in c.args]), t)
+            TimedApp(c.fname, tuple([subst_vars(a, env) for a in c.args]), t)
             for c, t in zip(chain, reversed(times))
         ])
-        plugged = plug_app(below[0], _subst_vars(ctx, env))
+        plugged = plug_app(below[0], subst_vars(ctx, env))
         return Configuration(entries + (plugged,) + below[1:], tail), ()
-    raw = replace_bullet(subst_seq(config.tail, theta), _subst_vars(rhs, env))
+    raw = replace_bullet(subst_seq(config.tail, theta), subst_vars(rhs, env))
     succ, deferred = decompose(raw, clock, pgen)
     return succ, tuple(deferred)
 

@@ -1,12 +1,10 @@
-import functools
 import json
+import time
 
 import pytest
 
 import models
-from scpv import cli
 from scpv.cli import main
-from scpv.interp import eval_call
 from scpv.lang import parse_program
 
 
@@ -56,12 +54,13 @@ def test_run_rejects_extra_arguments(model_file, capsys):
     assert "Test expects 1 arguments" in captured.err
 
 
-def test_run_out_of_fuel_is_a_budget_exit(tmp_path, monkeypatch, capsys):
+def test_run_out_of_fuel_is_a_budget_exit(tmp_path, capsys):
     p = tmp_path / "loop.l"
     p.write_text("G { e.x => G(e.x); }\n")
     # the default fuel takes about a minute to run out
-    monkeypatch.setattr(cli, "eval_call", functools.partial(eval_call, fuel=1_000))
-    assert main(["run", str(p), "G", "A"]) == 4
+    t0 = time.perf_counter()
+    assert main(["run", str(p), "G", "A", "--fuel", "1000"]) == 4
+    assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "budget exceeded: fuel exhausted in G\n"
@@ -320,3 +319,16 @@ def test_repeated_names_are_errors(extra, what, tmp_path, capsys):
     spec.write_text(SPEC_HEAD + SPEC_EVENT + extra + "unsafe d >= 2\n")
     assert main(["verify", str(spec)]) == 1
     assert capsys.readouterr().err == f"error: {what} names must be distinct\n"
+
+
+def test_a_rule_direct_driving_cannot_narrow_is_an_error(tmp_path, capsys):
+    p = tmp_path / "repeated.l"
+    p.write_text("Main { (e.x) e.x => A; e.y => B; }\n")
+    assert main(["verify", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: repeated e-variable e.x against open data, in a rule of Main;"
+        " --mode indirect accepts the rule\n"
+    )
+    assert main(["verify", str(p), "--mode", "indirect"]) == 0

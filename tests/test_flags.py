@@ -21,9 +21,9 @@ from oracles import (
     ref_canonical_def,
     ref_inline_calls,
     ref_rename_calls,
+    subst_vars,
 )
 from scpv.config import _split_leftmost_call, replace_bullet, subst_seq
-from scpv.driving import _subst_vars
 from scpv.lang import (
     BULLET,
     HAS_BULLET,
@@ -43,6 +43,7 @@ from scpv.lang import (
     is_ground,
     iter_items,
     map_calls,
+    map_items,
     parse_expr,
     parse_program,
 )
@@ -152,7 +153,7 @@ def test_subst_seq_agrees_with_naive(seq, theta):
 @walker_settings
 @given(seqs, envs)
 def test_subst_vars_agrees_with_naive(seq, env):
-    got = outcome(_subst_vars, seq, env)
+    got = outcome(subst_vars, seq, env)
     assert got == outcome(naive_subst_vars, seq, env)
     if got[0] == "ok":
         assert flags_sound(got[1])
@@ -171,6 +172,20 @@ def test_subst_vars_keeping_unbound_agrees_with_naive(seq, env):
     got = _subst_vars_seq(seq, env)
     assert got == naive_subst_vars(seq, KeepUnbound(env))
     assert flags_sound(got)
+
+
+@walker_settings
+@given(seqs, envs)
+def test_map_items_returns_what_it_leaves_unchanged_itself(seq, env):
+    def keep(v):
+        return (v,)
+
+    assert map_items(seq, HAS_VAR, keep) is seq
+    for it in seq:
+        if isinstance(it, (Paren, Call)) and not env.keys() & set(iter_items((it,))):
+            hash(it)
+            (got,) = map_items((it,), HAS_VAR, KeepUnbound(env).__getitem__)
+            assert got is it and got._hash is not None
 
 
 @walker_settings

@@ -1,10 +1,10 @@
-"""Rule matching, pre-decomposed rule tables, and instance matching for
+"""Compiled rule matching and instantiation, and instance matching for
 folds and rule subsumption.
 
 The packaged matchers are checked against the reference copies in
-``oracles.py`` on random patterns and parameterized data, and the rule
-table's pre-decomposition and instantiation plans against decomposing and
-substituting after instantiation.
+``oracles.py`` on random patterns and parameterized data, and each rule's
+compiled right-hand side against decomposing and substituting after
+instantiation.
 """
 
 from hypothesis import given, settings
@@ -18,33 +18,41 @@ from oracles import (
     _random_pattern,
     draw_env,
     draw_value,
+    interp_match_rule,
     open_data,
+    passive,
+    ref_drive,
     ref_inst_seq,
     ref_match_rule,
     ref_pattern_instance,
+    subst_vars,
 )
-from scpv.config import decompose_expr
+from scpv.config import Clock, Configuration, ParamGen, TimedApp, decompose_expr
 from scpv.driving import (
     FAIL,
-    REBUILD,
-    SHARE,
     NotSupported,
-    _instance,
-    _match_rule,
-    _subst_vars,
+    RuleRow,
+    _build_source,
+    _match_source,
+    drive,
     rule_table,
 )
 from scpv.lang import (
     BULLET,
+    HAS_VAR,
     MATCH_BUDGET,
     Budget,
     Call,
+    FuncDef,
     Paren,
     Param,
+    Program,
     Rule,
+    Sym,
     Var,
     inst_args,
     inst_seq,
+    seq_flags,
     vars_of,
 )
 
@@ -86,8 +94,8 @@ def fill(seq, hole, value):
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
-    except NotSupported:
-        return "raise", NotSupported
+    except NotSupported as e:
+        return "raise", str(e)
 
 
 matcher_settings = settings(max_examples=400, deadline=None)
@@ -116,21 +124,23 @@ def test_matcher_agrees_with_reference(lhs, shape, data):
         args = tuple(fill(p, Var, fresh) for p in lhs)
     else:
         args = tuple(data.draw(open_data) for _ in lhs)
+    got = outcome(RuleRow(lhs, ()).match, args)
     env = {}
-    got = outcome(_match_rule, lhs, args, env)
+    interp = outcome(interp_match_rule, lhs, args, env)
     want = outcome(ref_match_rule, lhs, args, {})
     if want[0] == "raise":
-        assert got == want
+        assert got == interp == want
         return
-    kind, result = got
-    ref = want[1]
+    result, ref = got[1], want[1]
     if ref[0] == "ok":
-        assert result is None
-        assert env == ref[1]
-    elif ref[0] == "fail":
-        assert result is FAIL
-    else:
+        # the same bindings, bound in the same order
+        assert type(result) is dict and interp[1] is None
+        assert list(result.items()) == list(env.items())
         assert result == ref[1]
+    elif ref[0] == "fail":
+        assert result is FAIL and interp[1] is FAIL
+    else:
+        assert result == interp[1] == ref[1]
 
 
 ALL_RULES = models.shipped_rules()
@@ -142,21 +152,99 @@ def test_predecomposition_commutes_with_instantiation(case, data):
     prog, fname, i = case
     row = rule_table(prog, fname)[i]
     rhs = prog.rules(fname)[i].rhs
-    chain = [Call(f, args) for f, args, _ in row.chain]
-    assert (chain, row.ctx) == decompose_expr(rhs)
+    assert (list(row.chain), row.ctx) == decompose_expr(rhs)
     env = draw_env(data.draw, vars_of(rhs), open_data)
-    want = decompose_expr(_subst_vars(rhs, env))
-    inst = [Call(c.fname, tuple(_subst_vars(a, env) for a in c.args)) for c in chain]
-    assert (inst, _subst_vars(row.ctx, env)) == want
-    # each plan instantiates its sequence as _subst_vars does, and a looked-up
-    # or shared one is not copied
-    for _, args, plans in row.chain:
-        for a, plan in zip(args, plans):
-            got = _instance(plan, env)
-            assert got == _subst_vars(a, env)
-            if plan[0] != REBUILD:
-                assert got is (a if plan[0] == SHARE else env[a[0]])
-    assert _instance(row.ctx_plan, env) == _subst_vars(row.ctx, env)
+    top = data.draw(st.integers(10, 40))
+    entries, ctx = row.build(env, top)
+    want = decompose_expr(subst_vars(rhs, env))
+    assert ([Call(e.fname, e.args) for e in entries], ctx) == want
+    assert [e.time for e in entries] == [top - k for k in range(len(row.chain))]
+    assert ctx == subst_vars(row.ctx, env)
+    # each argument is instantiated as subst_vars does, and a lone variable
+    # or a variable-free argument is not copied
+    for entry, c in zip(entries, row.chain):
+        for got, a in zip(entry.args, c.args):
+            assert got == subst_vars(a, env)
+            if len(a) == 1 and type(a[0]) is Var:
+                assert got is env[a[0]]
+            elif not seq_flags(a) & HAS_VAR:
+                assert got is a
+
+
+# rules over the characters that delimit or escape Python string literals
+DQ, SQ, BS = Sym('"', char=True), Sym("'", char=True), Sym("\\", char=True)
+EZ = Var("e", "z")
+QUOTED = Program([
+    FuncDef("F", 2, (
+        Rule(((DQ, SX), (EX,)), (Call("G", ((SQ, SX, BS),)), DQ)),
+        Rule(((SQ, Paren((BS, EY))), (SX, EZ)), (Paren((DQ,)), Call("F", ((SX,), (EY,))))),
+        Rule(((BS,), (SX, SX, EX)), (Call("G", ((Call("G", ((EX,),)),),)),)),
+        Rule(((EX,), (Paren((SQ, SX)),)),
+             (SQ, EX, Call("G", ((SX,),)), Paren((BS, SX, DQ)), Call("G", ((EX,),)))),
+    )),
+    FuncDef("G", 1, (
+        Rule(((DQ, EX),), (EX,)),
+        Rule(((SX, EX),), (Call("G", ((EX, SX),)), BS)),
+        Rule(((),), (SQ,)),
+    )),
+])
+quoted_data = passive((DQ, SQ, BS) + S_PARAMS + E_PARAMS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("F", "G")), st.booleans(), st.data())
+def test_rules_over_quote_characters_drive_as_the_reference(fname, close, data):
+    if close:  # an instance of one rule's patterns, open where the values are
+        rule = data.draw(st.sampled_from(QUOTED.rules(fname)))
+        sym = st.sampled_from((DQ, SQ, BS) + S_PARAMS)
+        values = {v: (data.draw(sym),) if v.kind == "s" else data.draw(quoted_data)
+                  for v in vars_of(sum(rule.lhs, ()))}
+        args = tuple(fill(p, Var, values.__getitem__) for p in rule.lhs)
+    else:
+        args = tuple(data.draw(quoted_data) for _ in range(QUOTED.arity(fname)))
+    tail = data.draw(st.sampled_from(((BULLET,), (DQ, BULLET, Paren((SQ,))))))
+    config = Configuration((TimedApp(fname, args, 1),), tail)
+    now, num = data.draw(st.integers(10, 40)), data.draw(st.integers(100, 140))
+    got = drive(config, QUOTED, Clock(now), ParamGen(num))
+    assert got == ref_drive(config, QUOTED, Clock(now), ParamGen(num))
+
+
+def test_deeply_nested_rules_drive_as_the_reference():
+    # Python's parser refuses 200 nested parentheses; the generated source
+    # nests to the same small depth whatever the rule's nesting
+    deep, data = (EX,), (DQ, S_PARAMS[0])
+    for _ in range(110):
+        deep, data = (Paren(deep),), (Paren(data),)
+    prog = Program([FuncDef("F", 1, (Rule((deep,), (Call("F", (deep,)), SQ) + deep),))])
+    tags = []
+    for arg in (data, (DQ,)):
+        config = Configuration((TimedApp("F", (arg,), 1),), (BULLET,))
+        got = drive(config, prog, Clock(5), ParamGen(100))
+        assert got == ref_drive(config, prog, Clock(5), ParamGen(100))
+        tags += [b.tag for b in got]
+    assert tags == ["fired", "stuck"]
+
+
+def test_generated_source_holds_no_program_text():
+    for fname in QUOTED.defs:
+        for rule in QUOTED.rules(fname):
+            chain, ctx = decompose_expr(rule.rhs)
+            for src, _ in (_match_source(rule.lhs), _build_source(tuple(chain), ctx)):
+                # no string literal at all, so no symbol, name or message
+                assert not {'"', "'", "\\"} & set(src)
+                assert not {"F", "G", "x", "y", "z"} & set(src.split())
+
+
+def test_rules_of_one_structure_share_a_compiled_function():
+    # symbols, variables and function names differ; the structure is equal
+    a = RuleRow(((SYMS[1], SX, Paren((EX,))),), (Call("F", ((SX, SYMS[2], EX),)),))
+    b = RuleRow(((DQ, SY, Paren((EY,))),), (Call("G", ((SY, SQ, EY),)),))
+    assert a.match.__code__ is b.match.__code__
+    assert a.build.__code__ is b.build.__code__
+    assert a.match is not b.match
+    # a repeated variable is structure
+    c = RuleRow(((SYMS[1], SX, Paren((SX,))),), (Call("F", ((SX, SYMS[2], EX),)),))
+    assert c.match.__code__ is not a.match.__code__
 
 
 # fold patterns: configuration items over parameters, with calls and bullets

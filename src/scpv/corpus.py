@@ -158,8 +158,13 @@ def _bounds(words: list):
     return bounds
 
 
+def _is_word(name: str) -> bool:
+    """Letters, digits and ``_``: one symbol when a model is printed and read back."""
+    return all(c.isalnum() or c == "_" for c in name)
+
+
 def parse_protocol_spec(text: str) -> CountingProtocolSpec:
-    """Parse a spec; a malformed line raises LangError naming the line."""
+    """Parse a spec; a malformed line or name raises LangError naming the line."""
     name = "protocol"
     counters: list = []
     events: list = []
@@ -172,9 +177,10 @@ def parse_protocol_spec(text: str) -> CountingProtocolSpec:
         head, *args = line.replace(",", " , ").split()
         if head == "protocol" and len(args) == 1:
             name = args[0]
-        elif head == "counter" and args and args[1:] in ([], ["init", "zero"], ["init", "param"]):
+        elif (head == "counter" and args and _is_word(args[0])
+              and args[1:] in ([], ["init", "zero"], ["init", "param"])):
             counters.append(CounterSpec(args[0], args[2:] == ["param"]))
-        elif head == "event" and len(args) == 1:
+        elif head == "event" and len(args) == 1 and _is_word(args[0]):
             cur = EventSpec(args[0], [{}], {})
             events.append(cur)
         elif head == "alt" and not args and cur is not None:

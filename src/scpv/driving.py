@@ -89,19 +89,48 @@ def _shape_cases(e: Param, pgen: ParamGen):
 # symbols and variables, and which occurrence of a variable binds it. Every
 # symbol, variable, function name and message reaches the function as a
 # closure constant ``K<i>``, so no program text is ever compiled, and rules of
-# one structure share one compiled factory.
+# one structure share one compiled factory. A matcher tests only for a match;
+# every miss goes through one decision, ``_differs`` or ``_blocked``.
 
 
-def _active_data(x) -> AssertionError:
-    return AssertionError(f"active or bullet data in matching: {x!r}")
+def _blocked(x):
+    """The miss of data item ``x`` where the pattern wants a paren, or a
+    symbol for an s-variable's first occurrence: a shape split of an
+    e-parameter, else no match."""
+    tx = type(x)
+    if tx is Param and x.kind == "e":
+        return ("shape", x)
+    if tx is Call or tx is Bullet:
+        raise AssertionError(f"active or bullet data in matching: {x!r}")
+    return FAIL
+
+
+def _differs(x, want):
+    """The miss of data item ``x`` where the pattern wants ``want``: a
+    symbol, or a bound s-variable's value, a symbol or an s-parameter. A
+    symbol ``x`` is decided against an s-parameter ``want``, an s-parameter
+    ``x`` against ``want``; anything else misses as for ``_blocked``."""
+    tx = type(x)
+    if tx is Sym:
+        return ("sym", want, x) if type(want) is Param else FAIL
+    if tx is Param and x.kind == "s":
+        return ("sym", x, want)
+    return _blocked(x)
+
+
+def _repeated(w, r, msg: str):
+    """The miss of a repeated e-variable bound to ``w`` against the rest
+    ``r``: no match when both are ground, else not supported."""
+    if is_ground(w) and is_ground(r):
+        return FAIL
+    raise NotSupported(msg)
 
 
 # the names generated code refers to; the source holds no string literal
 _GENERATED_GLOBALS = {
-    "FAIL": FAIL, "SHAPE": "shape", "SYM": "sym", "E": "e",
-    "Sym": Sym, "Param": Param, "Paren": Paren, "Call": Call, "Bullet": Bullet,
-    "TimedApp": TimedApp, "NotSupported": NotSupported,
-    "is_ground": is_ground, "active_data": _active_data,
+    "FAIL": FAIL, "SHAPE": "shape", "E": "e",
+    "Sym": Sym, "Param": Param, "Paren": Paren, "Call": Call, "TimedApp": TimedApp,
+    "blocked": _blocked, "differs": _differs, "repeated": _repeated,
 }
 
 
@@ -161,49 +190,31 @@ def _match_level(s: _Source, pat: Seq, d: str, bound: dict, order: list) -> None
                 s.emit(f"{v} = {rest}")
             else:
                 msg = s.const(f"repeated e-variable {p!r} against open data")
-                r = s.local("r")
-                s.emit(f"{r} = {rest}")
-                s.emit(f"if {r} != {w}:")
-                s.emit(f"    if is_ground({w}) and is_ground({r}): return FAIL")
-                s.emit(f"    raise NotSupported({msg})")
+                s.emit(f"if {rest} != {w}: return repeated({w}, {rest}, {msg})")
             return
         x = s.local("x")
         s.emit(f"if {n} <= {i}: return FAIL")
         s.emit(f"{x} = {d}[{i}]")
         if tp is Sym:
             k = s.const(p)
-            s.emit(f"if {x} is not {k}:")
-            s.emit(f"    if type({x}) is Param:")
-            s.emit(f"        return (SHAPE, {x}) if {x}.kind == E else (SYM, {x}, {k})")
-            s.emit(f"    if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
-            s.emit("    return FAIL")
+            s.emit(f"if {x} is not {k}: return differs({x}, {k})")
         elif tp is Var and p in bound:  # a repeated s-variable
             w = bound[p]
-            s.emit(f"if {x} is not {w}:")
-            s.emit(f"    if type({x}) is Param:")
-            s.emit(f"        return (SHAPE, {x}) if {x}.kind == E else (SYM, {x}, {w})")
-            s.emit(f"    if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
-            s.emit(f"    if type({x}) is Paren or type({w}) is Sym: return FAIL")
-            s.emit(f"    return (SYM, {w}, {x})")
+            s.emit(f"if {x} is not {w}: return differs({x}, {w})")
         elif tp is Var:  # an s-variable's first occurrence binds it
             bound[p] = x
             order.append((s.const(p), f"({x},)"))
-            s.emit(f"if type({x}) is not Sym:")
-            s.emit(f"    if type({x}) is Param and {x}.kind == E: return (SHAPE, {x})")
-            s.emit(f"    if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
-            s.emit(f"    if type({x}) is Paren: return FAIL")
+            s.emit(f"if type({x}) is not Sym and (type({x}) is not Param or {x}.kind == E):"
+                   f" return blocked({x})")
         elif tp is Paren:
-            s.emit(f"if type({x}) is not Paren:")
-            s.emit(f"    if type({x}) is Param and {x}.kind == E: return (SHAPE, {x})")
-            s.emit(f"    if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
-            s.emit("    return FAIL")
+            s.emit(f"if type({x}) is not Paren: return blocked({x})")
             items = s.local("d")
             s.emit(f"{items} = {x}.items")
             _match_level(s, p.items, items, bound, order)
         else:
-            s.emit(f"if type({x}) is Param and {x}.kind == E: return (SHAPE, {x})")
-            s.emit(f"if type({x}) is Call or type({x}) is Bullet: raise active_data({x})")
-            s.emit(f"raise AssertionError({s.const(f'bad pattern item {p!r}')})")
+            s.emit(f"{x} = blocked({x})")
+            s.emit(f"if {x} is FAIL: raise AssertionError({s.const(f'bad pattern item {p!r}')})")
+            s.emit(f"return {x}")
             return
     x = s.local("x")
     s.emit(f"if {n} > {len(pat)}:")
@@ -357,20 +368,19 @@ def _walk(table, args, theta, start, pgen, warn, out):
                     ri, pgen, warn, out,
                 )
             return
-        if req[0] == "sym":
-            sparam, item = req[1], req[2]
-            if isinstance(item, Param) and warn:
-                warn(f"parameter-parameter symbol decision {sparam!r}={item!r}")
-            case = {sparam: (item,)}
-            _walk(
-                table,
-                tuple([subst_seq(a, case) for a in args]),
-                compose_subst(theta, case),
-                ri, pgen, warn, out,
-            )
-            _walk(table, args, theta, ri + 1, pgen, warn, out)
-            return
-        raise AssertionError(req)
+        # ('sym', sparam, item): equal first, fall through otherwise
+        sparam, item = req[1], req[2]
+        if isinstance(item, Param) and warn:
+            warn(f"parameter-parameter symbol decision {sparam!r}={item!r}")
+        case = {sparam: (item,)}
+        _walk(
+            table,
+            tuple([subst_seq(a, case) for a in args]),
+            compose_subst(theta, case),
+            ri, pgen, warn, out,
+        )
+        _walk(table, args, theta, ri + 1, pgen, warn, out)
+        return
     out.append((theta, "stuck", None, None))
 
 

@@ -17,7 +17,6 @@ from .config import (
     check_config,
     compose_subst,
     decompose,
-    plug_app,
     subst_config,
     subst_seq,
 )
@@ -738,40 +737,23 @@ class Engine:
         anc = self.graph.node(anc_id)
         l = witness.l
         prefix, context, connector = split_task(anc.config, l, self.pgen)
-        # compare against the current configuration's split to decide whether
-        # the new tasks start generalized
-        m = len(node.config.stack)
-        shared = len(anc.config.stack) - l + 1
+        # the prefix task starts generalized when the current configuration's
+        # prefix is no instance of it. The context needs no such check: it is
+        # the shared suffix of same-labelled applications, which change only
+        # by substitution and by the filling of the boundary's bullet, which
+        # the connector takes up, so the current context is an instance of it
         cur_prefix = Configuration(node.config.stack[: l - 1], (BULLET,))
-        cur_context = Configuration(
-            (plug_app(node.config.stack[m - shared], (connector,)),)
-            + node.config.stack[m - shared + 1 :],
-            node.config.tail,
-        )
         prefix_entry = None
-        context_entry = None
         if fold_instance(prefix, cur_prefix) is None:
             g = self._generalize(prefix, cur_prefix, "prefix msg failed")
             if g is not None:
                 prefix, prefix_entry = g.gen, g.theta1
-        if fold_instance(context, cur_context) is None:
-            g = self._generalize(context, cur_context, "context msg failed")
-            if g is not None:
-                context, context_entry = g.gen, g.theta1
-                self.trace.warn("context generalized at a split point")
-        self.trace.emit(
-            "TaskSplit",
-            node=anc_id,
-            split=l,
-            prefix=prefix,
-            context=context,
-        )
+        self.trace.emit("TaskSplit", node=anc_id, split=l, prefix=prefix, context=context)
         self._kill_below(anc_id)
         anc.kind = "letsplit"
         p_node = self._new_node(prefix, parent=anc_id, path=())
         p_node.entry_subst = prefix_entry
         c_node = self._new_node(context, parent=anc_id, path=())
-        c_node.entry_subst = context_entry
         anc.children = [(None, p_node.id), (connector, c_node.id)]
         anc.pending_children = 2
         self._enqueue_task(p_node)

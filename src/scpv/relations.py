@@ -175,17 +175,16 @@ def turchin(ci: Configuration, cj: Configuration) -> Optional[TurchinWitness]:
 
 @dataclass(frozen=True)
 class WhistleDecision:
-    action: str  # 'continue' | 'act'
     ancestor: Optional[int] = None  # index into the path
     witness: Optional[TurchinWitness] = None
-    kind: Optional[str] = None  # 'turchin' | 'embed'
+    kind: Optional[str] = None  # 'turchin' | 'embed'; None: go on driving
 
     @property
     def is_act(self) -> bool:
-        return self.action == "act"
+        return self.kind is not None
 
 
-CONTINUE = WhistleDecision("continue")
+CONTINUE = WhistleDecision()
 
 
 def _config_embed(ci: Configuration, cj: Configuration) -> bool:
@@ -213,11 +212,11 @@ def whistle(path, current: Configuration) -> WhistleDecision:
             continue
         witnesses.append(idx)
         if all(app_embed(f, g) for f, g in zip(w.prefix_i, w.prefix_j)):
-            return WhistleDecision("act", idx, w, "turchin")
+            return WhistleDecision(idx, w, "turchin")
     related = set(witnesses)
     for idx, anc in enumerate(path):
         if idx in related:
             continue
         if _config_embed(anc, current):
-            return WhistleDecision("act", idx, None, "embed")
+            return WhistleDecision(idx, None, "embed")
     return CONTINUE

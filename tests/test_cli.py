@@ -289,6 +289,9 @@ SPEC_EVENT = "event e\n  guard i >= 1\n  update d := d + 1\n"
     ("protocol", False),
     ("guard q", True),
     ("update d := d d", True),
+    # names the program lexer would not read back as one symbol
+    ("event t-1", False),
+    ("counter e.s init zero", False),
 ])
 def test_malformed_spec_lines_are_errors(line, in_event, tmp_path, capsys):
     # the line after the event's, or before any event

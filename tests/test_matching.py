@@ -7,6 +7,8 @@ compiled right-hand side against decomposing and substituting after
 instantiation.
 """
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,11 +93,40 @@ def fill(seq, hole, value):
     return tuple(out)
 
 
+def put_at(args, k, item):
+    """args with their k-th item, counted depth-first into parens, replaced
+    by ``item``."""
+    left = k
+
+    def level(seq):
+        nonlocal left
+        out = []
+        for it in seq:
+            left -= 1
+            if left == -1:
+                out.append(item)
+            elif type(it) is Paren:
+                out.append(Paren(level(it.items)))
+            else:
+                out.append(it)
+        return tuple(out)
+
+    return tuple(level(a) for a in args)
+
+
+def count_items(seq) -> int:
+    return sum(1 + (count_items(it.items) if type(it) is Paren else 0) for it in seq)
+
+
+# a call or the bullet, which matching refuses where it inspects an item
+ACTIVE = (BULLET, Call("F", ((SYMS[0],),)))
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
-    except NotSupported as e:
-        return "raise", str(e)
+    except (NotSupported, AssertionError) as e:
+        return "raise", repr(e)
 
 
 matcher_settings = settings(max_examples=400, deadline=None)
@@ -109,16 +140,20 @@ matcher_settings = settings(max_examples=400, deadline=None)
             lambda rnd: [_random_pattern(rnd, rnd.randint(0, 4))]
         ),
     ),
-    st.sampled_from(("instance", "per-occurrence", "random")),
+    st.sampled_from(("instance", "per-occurrence", "active", "random")),
     st.data(),
 )
 def test_matcher_agrees_with_reference(lhs, shape, data):
     lhs = tuple(lhs)
     # data shaped like the pattern gets most attempts far; a fresh value per
-    # occurrence of a repeated variable reaches the bound-variable cases
-    if shape == "instance":
+    # occurrence of a repeated variable reaches the bound-variable cases, and
+    # a call or the bullet in place of one item the active-data refusal
+    if shape in ("instance", "active"):
         values = draw_env(data.draw, vars_of(sum(lhs, ())), open_data)
         args = tuple(fill(p, Var, values.__getitem__) for p in lhs)
+        if shape == "active" and (n := sum(map(count_items, args))):
+            k = data.draw(st.integers(0, n - 1))
+            args = put_at(args, k, data.draw(st.sampled_from(ACTIVE)))
     elif shape == "per-occurrence":
         fresh = lambda v: draw_value(data.draw, v, open_data)  # noqa: E731
         args = tuple(fill(p, Var, fresh) for p in lhs)
@@ -226,13 +261,20 @@ def test_deeply_nested_rules_drive_as_the_reference():
 
 
 def test_generated_source_holds_no_program_text():
-    for fname in QUOTED.defs:
-        for rule in QUOTED.rules(fname):
-            chain, ctx = decompose_expr(rule.rhs)
-            for src, _ in (_match_source(rule.lhs), _build_source(tuple(chain), ctx)):
-                # no string literal at all, so no symbol, name or message
-                assert not {'"', "'", "\\"} & set(src)
-                assert not {"F", "G", "x", "y", "z"} & set(src.split())
+    rules = [r for fname in QUOTED.defs for r in QUOTED.rules(fname)]
+    # a repeated e-variable, which no rule above has
+    rules.append(Rule(((EX,), (Paren((EX,)),)), (EX,)))
+    for rule in rules:
+        chain, ctx = decompose_expr(rule.rhs)
+        match_src = _match_source(rule.lhs)[0]
+        for src in (match_src, _build_source(tuple(chain), ctx)[0]):
+            # no string literal at all, so no symbol, name or message
+            assert not {'"', "'", "\\"} & set(src)
+            assert not {"F", "G", "x", "y", "z"} & set(src.split())
+        # every miss goes through the module's decision, so the matcher
+        # names no data it refuses and no check it leaves to that decision
+        names = set(re.findall(r"\w+", match_src))
+        assert not {"Call", "Bullet", "NotSupported", "is_ground"} & names
 
 
 def test_rules_of_one_structure_share_a_compiled_function():

@@ -228,6 +228,11 @@ def main(argv=None) -> int:
         # self-interpreter's own rules have no repeated e-variable
         print(f"error: {e}; --mode indirect accepts the rule", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        # a pass makes this a budget exit; parsing and printing recurse too
+        print("error: nested deeper than Python's recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

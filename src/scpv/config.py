@@ -107,38 +107,20 @@ def check_config(c: Configuration) -> None:
 
 
 def subst_seq(seq: Seq, theta: dict) -> Seq:
-    """Apply a parameter substitution; e-parameters splice their sequences.
-
-    What the substitution leaves unchanged comes back as the same object: a
-    paren or call that holds no parameter of the domain (``params``), and a
-    sequence in which no item changed."""
+    """Apply a parameter substitution, as one ``map_items`` leaf; e-parameters
+    splice their sequences. What it leaves unchanged is the same object: a
+    paren or call none of whose parameters is bound, and seq when no item
+    changed."""
     if not theta:
         return seq
-    out = None  # the items so far, once one has changed
-    for i, it in enumerate(seq):
-        new = None  # the items that replace it, when it changes
-        if it.flags & HAS_PARAM:
-            t = type(it)
-            if t is Param:
-                new = theta.get(it)
-                if new is not None and it.kind == "s" and len(new) != 1:
-                    raise ValueError(f"s-parameter {it!r} bound to a sequence")
-            elif not it.params().isdisjoint(theta):
-                if t is Paren:
-                    items = subst_seq(it.items, theta)
-                    if items is not it.items:
-                        new = (Paren(items),)
-                else:
-                    args = tuple([subst_seq(a, theta) for a in it.args])
-                    if not all(map(is_, args, it.args)):
-                        new = (Call(it.fname, args),)
-        if new is not None:
-            if out is None:
-                out = list(seq[:i])
-            out.extend(new)
-        elif out is not None:
-            out.append(it)
-    return seq if out is None else tuple(out)
+
+    def leaf(p):
+        v = theta.get(p, (p,))
+        if p.kind == "s" and len(v) != 1:
+            raise ValueError(f"s-parameter {p!r} bound to a sequence")
+        return v
+
+    return map_items(seq, HAS_PARAM, leaf)
 
 
 def subst_app(app: TimedApp, theta: dict) -> TimedApp:

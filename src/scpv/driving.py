@@ -300,34 +300,28 @@ def _build_source(chain: tuple, ctx: Seq) -> tuple:
 # Driving proper
 
 
-class RuleRow(Record):
+class RuleRow:
     """One rule of a function, compiled for firing.
 
-    ``chain`` and ``ctx`` are ``decompose_expr(rhs)``, the chain as a tuple.
-    ``match(args)`` matches the rule's patterns (``_match_source``), and
-    ``build(env, top)`` gives the chain's entries and ``ctx`` under the
+    With ``chain, ctx = decompose_expr(rhs)``, ``chain`` is the chain as a
+    tuple. ``match(args)`` matches the rule's patterns (``_match_source``),
+    and ``build(env, top)`` gives the chain's entries and ``ctx`` under the
     bindings ``env`` (``_build_source``). ``tail_call`` is true when ``ctx``
     is the bare bullet, so the rule's result is the result of its outermost
     call; ``ctx_call`` when ``ctx`` holds a call, so firing it at the bottom
     of a stack is a let-split."""
 
-    __slots__ = ("chain", "ctx", "match", "build", "tail_call", "ctx_call")
+    __slots__ = ("chain", "match", "build", "tail_call", "ctx_call")
 
     def __init__(self, lhs: tuple, rhs: Seq):
         chain, ctx = decompose_expr(rhs)
-        chain = tuple(chain)
+        self.chain = tuple(chain)
         src, consts = _match_source(lhs)
-        _row_match(self, _compiled(src)(*consts))
-        src, consts = _build_source(chain, ctx)
-        _row_build(self, _compiled(src)(*consts))
-        _row_chain(self, chain)
-        _row_ctx(self, ctx)
-        _row_tail_call(self, ctx == (BULLET,))
-        _row_ctx_call(self, contains_call(ctx))
-
-
-(_row_chain, _row_ctx, _row_match, _row_build, _row_tail_call,
- _row_ctx_call) = slot_setters(RuleRow)
+        self.match = _compiled(src)(*consts)
+        src, consts = _build_source(self.chain, ctx)
+        self.build = _compiled(src)(*consts)
+        self.tail_call = ctx == (BULLET,)
+        self.ctx_call = contains_call(ctx)
 
 
 def rule_table(prog: Program, fname: str) -> tuple:

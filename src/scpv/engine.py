@@ -5,6 +5,7 @@ syntactic safety scan and the counterexample check at each unsafe leaf."""
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -64,7 +65,7 @@ class PassStopped(Exception):
 
 
 class BudgetExceeded(PassStopped):
-    """A node, depth or time budget ran out."""
+    """A node, depth, time or nesting budget ran out."""
 
 
 class CounterexampleFound(PassStopped):
@@ -791,13 +792,20 @@ def supercompile(
     """Drive, fold and residualize one entry configuration; ``witness``
     checks each passive leaf as it completes. A residual that calls a
     function it does not define, or with the wrong arity, raises
-    ``PropertyViolation``: no verdict may come from it."""
+    ``PropertyViolation``: no verdict may come from it. Nesting deeper than
+    Python's recursion limit, where the walkers recurse, is a budget exit."""
     limits = limits or Limits()
     trace = trace or Trace()
     eng = Engine(prog, limits, trace, witness)
-    root_id = eng.run(entry)
-    residual = build_residual(eng.graph, root_id, entry_name)
-    residual = simplify_program(residual, entry_name)
+    try:
+        root_id = eng.run(entry)
+        residual = build_residual(eng.graph, root_id, entry_name)
+        residual = simplify_program(residual, entry_name)
+    except RecursionError:
+        raise BudgetExceeded(
+            "nesting budget exceeded: deeper than Python's recursion limit "
+            f"({sys.getrecursionlimit()})", eng.graph, trace,
+        ) from None
     for d in residual.defs.values():
         for r in d.rules:
             errors = call_errors(r.rhs, residual, d.name)

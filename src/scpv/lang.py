@@ -1,6 +1,7 @@
 """Core syntax for the object language: flat expression sequences, programs,
 parsing, printing and validation, plus the tree operations the rest of the
-package builds on: the item rebuilders ``map_items`` (leaves) and
+package builds on: the item rebuilders ``map_items`` (leaves; every
+substitution, renaming and bullet fill is one leaf function over it) and
 ``map_calls`` (calls), and the instance matchers ``inst_seq`` and
 ``inst_args``.
 
@@ -19,9 +20,8 @@ The leaves ``Sym``, ``Var``, ``Param`` and ``Bullet`` are interned: their
 constructor returns the one object with the given fields (copying and
 unpickling go through it too), so leaf equality is identity and ``==`` and
 ``hash`` on a leaf run in C. ``Paren`` and ``Call`` compare structurally and
-compute their hash, and the frozenset of the parameters below them
-(``params``), once, on first use, into a slot. Neither ``flags`` nor the
-cached values take part in ``==`` or printing. Invariant: items are built only
+compute their hash once, on first use, into a slot. Neither ``flags`` nor the
+cached hash takes part in ``==`` or printing. Invariant: items are built only
 through their constructors, never with ``object.__new__``, and no field is
 ever assigned afterwards (assignment raises), because that would leave
 ``flags`` or the cached hash stale and break interning.
@@ -160,7 +160,7 @@ class Param(_Leaf):
 class Paren:
     """The unnamed tree constructor ``( ... )``."""
 
-    __slots__ = ("items", "flags", "_hash", "_params")
+    __slots__ = ("items", "flags", "_hash")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, items: "Seq"):
@@ -170,7 +170,6 @@ class Paren:
             f |= it.flags
         _paren_flags(self, f)
         _paren_hash(self, None)
-        _paren_params(self, None)
 
     def __eq__(self, other):
         if type(other) is not Paren:
@@ -184,14 +183,6 @@ class Paren:
             _paren_hash(self, h)
         return h
 
-    def params(self) -> frozenset:
-        """The parameters at or below this paren, computed on first use."""
-        ps = self._params
-        if ps is None:
-            ps = _params_in((self.items,))
-            _paren_params(self, ps)
-        return ps
-
     def __reduce__(self):
         # a copy hashes afresh: leaf hashes are identities, valid in one process
         return Paren, (self.items,)
@@ -203,7 +194,7 @@ class Paren:
 class Call:
     """Function application; every argument is a sequence."""
 
-    __slots__ = ("fname", "args", "flags", "_hash", "_params")
+    __slots__ = ("fname", "args", "flags", "_hash")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, fname: str, args: tuple):
@@ -215,7 +206,6 @@ class Call:
                 f |= it.flags
         _call_flags(self, f)
         _call_hash(self, None)
-        _call_params(self, None)
 
     def __eq__(self, other):
         if type(other) is not Call:
@@ -229,14 +219,6 @@ class Call:
             _call_hash(self, h)
         return h
 
-    def params(self) -> frozenset:
-        """The parameters in this call's arguments, computed on first use."""
-        ps = self._params
-        if ps is None:
-            ps = _params_in(self.args)
-            _call_params(self, ps)
-        return ps
-
     def __reduce__(self):
         return Call, (self.fname, self.args)
 
@@ -246,19 +228,8 @@ class Call:
 
 # the slots' own setters, fetched once: assignment raises, so constructors
 # store their fields through these
-_paren_items, _paren_flags, _paren_hash, _paren_params = slot_setters(Paren)
-_call_fname, _call_args, _call_flags, _call_hash, _call_params = slot_setters(Call)
-
-
-def _params_in(seqs) -> frozenset:
-    """The parameters in the sequences ``seqs``, through the cached sets of
-    the parens and calls among their items."""
-    out = set()
-    for seq in seqs:
-        for it in seq:
-            if it.flags & HAS_PARAM:
-                out.update((it,) if type(it) is Param else it.params())
-    return frozenset(out)
+_paren_items, _paren_flags, _paren_hash = slot_setters(Paren)
+_call_fname, _call_args, _call_flags, _call_hash = slot_setters(Call)
 
 
 class Bullet(_Leaf):

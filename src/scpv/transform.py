@@ -29,12 +29,12 @@ from .lang import (
     Seq,
     Sym,
     Var,
-    bullet_count,
     inst_args,
     is_sym_kind,
     iter_items,
     map_calls,
     map_items,
+    seq_flags,
     vars_of,
 )
 
@@ -76,7 +76,7 @@ def msg_seq(a: Seq, b: Seq, pgen: ParamGen, th1: dict, th2: dict) -> Seq:
     mid_a, mid_b = a[lo : len(a) - hi], b[lo : len(b) - hi]
     middle = []
     if mid_a or mid_b:
-        if bullet_count(mid_a) or bullet_count(mid_b):
+        if (seq_flags(mid_a) | seq_flags(mid_b)) & HAS_BULLET:
             raise Incompatible("bullets cannot be generalized away")
         p = pgen.fresh("e")
         th1[p] = mid_a

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -64,6 +65,25 @@ def test_run_out_of_fuel_is_a_budget_exit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "budget exceeded: fuel exhausted in G\n"
+
+
+@pytest.mark.parametrize("depth", [250, 3000])
+def test_run_on_deeply_nested_data_is_an_error(depth, tmp_path, capsys):
+    # 3,000 levels overflow the parser; 250 overflow the printer on Python
+    # 3.10 and 3.11, while 3.12 counts only Python frames and prints them
+    p = tmp_path / "id.l"
+    p.write_text("Id { e.x => e.x; }\n")
+    data = "(" * depth + "'a'" + ")" * depth
+    rc = main(["run", str(p), "Id", data])
+    captured = capsys.readouterr()
+    if rc == 0:
+        assert depth == 250 and sys.version_info >= (3, 12)
+        assert captured.out == data + "\n"
+        return
+    assert rc == 1
+    assert captured.out == ""
+    limit = sys.getrecursionlimit()
+    assert captured.err == f"error: nested deeper than Python's recursion limit ({limit})\n"
 
 
 def test_run_rejects_open_data(model_file, capsys):
@@ -199,6 +219,23 @@ def test_verify_budget_exit4(model_file, tmp_path, capsys):
         ["verify", model_file, "--mode", "direct", "--max-nodes", "5", "--trace", str(tr)]
     )
     assert rc == 4
+    lines = tr.read_text().splitlines()
+    assert lines and all(json.loads(line) for line in lines)
+
+
+def test_verify_deep_nesting_is_a_budget_exit(tmp_path, capsys):
+    # each drive wraps the argument in one more paren, and the walkers
+    # recurse once per level
+    model, tr = tmp_path / "deep.l", tmp_path / "t.jsonl"
+    model.write_text("Main { e.x => G1(e.x); }\nG1 { e.r => 'a' (G1('a' I)); }\n")
+    assert main(["verify", str(model), "--trace", str(tr)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.getrecursionlimit()
+    assert captured.err == (
+        "budget exceeded: nesting budget exceeded: "
+        f"deeper than Python's recursion limit ({limit})\n"
+    )
     lines = tr.read_text().splitlines()
     assert lines and all(json.loads(line) for line in lines)
 

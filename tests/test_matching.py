@@ -187,14 +187,15 @@ def test_predecomposition_commutes_with_instantiation(case, data):
     prog, fname, i = case
     row = rule_table(prog, fname)[i]
     rhs = prog.rules(fname)[i].rhs
-    assert (list(row.chain), row.ctx) == decompose_expr(rhs)
+    chain, rhs_ctx = decompose_expr(rhs)
+    assert list(row.chain) == chain
     env = draw_env(data.draw, vars_of(rhs), open_data)
     top = data.draw(st.integers(10, 40))
     entries, ctx = row.build(env, top)
     want = decompose_expr(subst_vars(rhs, env))
     assert ([Call(e.fname, e.args) for e in entries], ctx) == want
     assert [e.time for e in entries] == [top - k for k in range(len(row.chain))]
-    assert ctx == subst_vars(row.ctx, env)
+    assert ctx == subst_vars(rhs_ctx, env)
     # each argument is instantiated as subst_vars does, and a lone variable
     # or a variable-free argument is not copied
     for entry, c in zip(entries, row.chain):

@@ -108,9 +108,10 @@ def check_config(c: Configuration) -> None:
 
 def subst_seq(seq: Seq, theta: dict) -> Seq:
     """Apply a parameter substitution, as one ``map_items`` leaf; e-parameters
-    splice their sequences. What it leaves unchanged is the same object: a
-    paren or call none of whose parameters is bound, and seq when no item
-    changed."""
+    splice their sequences. Only subtrees whose flags share a signature bit
+    with theta's parameters are entered. What it leaves unchanged is the
+    same object: a paren or call none of whose parameters is bound, and seq
+    when no item changed."""
     if not theta:
         return seq
 
@@ -120,7 +121,10 @@ def subst_seq(seq: Seq, theta: dict) -> Seq:
             raise ValueError(f"s-parameter {p!r} bound to a sequence")
         return v
 
-    return map_items(seq, HAS_PARAM, leaf)
+    mask = 0
+    for p in theta:
+        mask |= p.flags
+    return map_items(seq, mask & ~HAS_PARAM, leaf)
 
 
 def subst_app(app: TimedApp, theta: dict) -> TimedApp:

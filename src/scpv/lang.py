@@ -11,20 +11,26 @@ This makes the associativity/unit equalities of the append constructor hold
 by construction.
 
 Every item carries ``flags``, a bitmask of the kinds of item found at or
-below it (``HAS_CALL``, ``HAS_BULLET``, ``HAS_PARAM``, ``HAS_VAR``). Leaves
-have constant flags; ``Paren`` and ``Call`` derive theirs from their
-children once, at construction, so that walkers can return a subtree
-unchanged without entering it.
+below it (``HAS_CALL``, ``HAS_BULLET``, ``HAS_PARAM``, ``HAS_VAR``) plus a
+parameter signature: parameter number ``n`` sets bit ``4 + n % 26``, so a
+subtree whose flags miss every bit of a substitution's parameters holds none
+of them, and flags stay small ints. ``Sym``, ``Var`` and ``Bullet`` have
+constant flags; ``Paren`` and ``Call`` derive theirs from their children
+once, at construction, so that walkers can return a subtree unchanged
+without entering it. Items also carry ``size``, the number of items at or
+below them: 1 for a leaf, cached at construction by ``Paren`` and ``Call``.
+The embedding prunes by it.
 
 The leaves ``Sym``, ``Var``, ``Param`` and ``Bullet`` are interned: their
 constructor returns the one object with the given fields (copying and
 unpickling go through it too), so leaf equality is identity and ``==`` and
 ``hash`` on a leaf run in C. ``Paren`` and ``Call`` compare structurally and
-compute their hash once, on first use, into a slot. Neither ``flags`` nor the
-cached hash takes part in ``==`` or printing. Invariant: items are built only
-through their constructors, never with ``object.__new__``, and no field is
-ever assigned afterwards (assignment raises), because that would leave
-``flags`` or the cached hash stale and break interning.
+compute their hash once, on first use, into a slot. Neither ``flags``,
+``size`` nor the cached hash takes part in ``==`` or printing. Invariant:
+items are built only through their constructors, never with
+``object.__new__``, and no field is ever assigned afterwards (assignment
+raises), because that would leave ``flags``, ``size`` or the cached hash
+stale and break interning.
 """
 
 from __future__ import annotations
@@ -101,6 +107,7 @@ class _Leaf:
 
     __slots__ = ()
     __setattr__ = __delattr__ = _frozen
+    size = 1
 
     def __init_subclass__(cls):
         cls._table = {}  # fields -> the one leaf with them
@@ -147,11 +154,17 @@ class Var(_Leaf):
 class Param(_Leaf):
     """A configuration parameter, globally numbered within one run."""
 
-    __slots__ = ("kind", "num")
-    flags = HAS_PARAM
+    __slots__ = ("kind", "num", "flags")
 
     def __new__(cls, kind: str, num: int):
-        return cls._interned(kind, num)
+        it = cls._table.get((kind, num))
+        if it is None:
+            it = cls._interned(kind, num)
+            _set(it, "flags", HAS_PARAM | 16 << (num % 26))
+        return it
+
+    def __reduce__(self):
+        return Param, (self.kind, self.num)
 
     def __repr__(self):
         return f"{self.kind}.{self.num}"
@@ -160,15 +173,18 @@ class Param(_Leaf):
 class Paren:
     """The unnamed tree constructor ``( ... )``."""
 
-    __slots__ = ("items", "flags", "_hash")
+    __slots__ = ("items", "flags", "size", "_hash")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, items: "Seq"):
         _paren_items(self, items)
         f = 0
+        n = 1
         for it in items:
             f |= it.flags
+            n += it.size
         _paren_flags(self, f)
+        _paren_size(self, n)
         _paren_hash(self, None)
 
     def __eq__(self, other):
@@ -188,23 +204,26 @@ class Paren:
         return Paren, (self.items,)
 
     def __repr__(self):
-        return f"({print_seq(self.items)})"
+        return print_seq((self,))
 
 
 class Call:
     """Function application; every argument is a sequence."""
 
-    __slots__ = ("fname", "args", "flags", "_hash")
+    __slots__ = ("fname", "args", "flags", "size", "_hash")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, fname: str, args: tuple):
         _call_fname(self, fname)
         _call_args(self, args)
         f = HAS_CALL
+        n = 1
         for a in args:
             for it in a:
                 f |= it.flags
+                n += it.size
         _call_flags(self, f)
+        _call_size(self, n)
         _call_hash(self, None)
 
     def __eq__(self, other):
@@ -223,13 +242,13 @@ class Call:
         return Call, (self.fname, self.args)
 
     def __repr__(self):
-        return f"{self.fname}({', '.join(print_seq(a) for a in self.args)})"
+        return print_seq((self,))
 
 
 # the slots' own setters, fetched once: assignment raises, so constructors
 # store their fields through these
-_paren_items, _paren_flags, _paren_hash = slot_setters(Paren)
-_call_fname, _call_args, _call_flags, _call_hash = slot_setters(Call)
+_paren_items, _paren_flags, _paren_size, _paren_hash = slot_setters(Paren)
+_call_fname, _call_args, _call_flags, _call_size, _call_hash = slot_setters(Call)
 
 
 class Bullet(_Leaf):
@@ -440,6 +459,8 @@ def inst_seq(pat: Seq, subj: Seq, th: dict, budget: Budget) -> Optional[dict]:
     parameter. An s-hole takes one symbol-kind item (``is_sym_kind``); an
     e-hole takes the shortest prefix that lets the rest match, and the first
     solution inside a paren or a call is kept without backtracking into it.
+    An e-hole whose rest at this level holds no e-hole matches one item per
+    pattern item, so it can take only one prefix, which is bound directly.
     Bindings go into ``th`` in place, so callers pass a dict they own; each
     e-hole alternative starts from a copy.
     """
@@ -458,6 +479,15 @@ def inst_seq(pat: Seq, subj: Seq, th: dict, budget: Budget) -> Optional[dict]:
             v = th.get(p)
             if v is None:
                 rest = pat[i + 1 :]
+                if not any(type(q) in (Param, Var) and q.kind == "e" for q in rest):
+                    # every item of rest takes one subject item
+                    k = m - len(rest)
+                    if k < j:
+                        return None
+                    th[p] = subj[j:k]
+                    i += 1
+                    j = k
+                    continue
                 for k in range(j, m + 1):
                     th2 = dict(th)
                     th2[p] = subj[j:k]
@@ -771,16 +801,41 @@ def _seq_valued(it: Item) -> bool:
 
 def print_seq(seq: Seq) -> str:
     """Canonical text: terms juxtaposed, `++` at sequence-valued boundaries
-    (calls anywhere, e-variables except as the final tail)."""
-    if not seq:
-        return "[]"
-    parts = [repr(seq[0])]
-    for i, it in enumerate(seq[1:], start=1):
-        boundary = _seq_valued(seq[i - 1]) or (
-            _seq_valued(it) and not (i == len(seq) - 1 and not isinstance(it, Call))
-        )
-        parts.append((" ++ " if boundary else " ") + repr(it))
-    return "".join(parts)
+    (calls anywhere, e-variables except as the final tail). Iterative, with
+    an explicit stack of pieces (text, sequences and composite items), so
+    that any depth the parser accepts prints."""
+    out = []
+    todo = [seq]
+    push = todo.append
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is str:
+            out.append(x)
+        elif t is Paren:
+            push(")")
+            push(x.items)
+            push("(")
+        elif t is Call:
+            push(")")
+            for k in range(len(x.args) - 1, -1, -1):
+                push(x.args[k])
+                if k:
+                    push(", ")
+            push(f"{x.fname}(")
+        elif not x:
+            out.append("[]")
+        else:  # a sequence: its items, last first, leaves printed at once
+            last = len(x) - 1
+            for i in range(last, -1, -1):
+                it = x[i]
+                push(it if type(it) is Paren or type(it) is Call else repr(it))
+                if i:
+                    boundary = _seq_valued(x[i - 1]) or (
+                        _seq_valued(it) and not (i == last and not isinstance(it, Call))
+                    )
+                    push(" ++ " if boundary else " ")
+    return "".join(out)
 
 
 def print_program(prog: Program) -> str:

@@ -57,24 +57,47 @@ def _seq_embed(a: Seq, b: Seq, guard: bool) -> bool:
       ``a[i]`` at the earliest item it embeds into loses nothing;
     - a dive of ``a[i:]`` into a later item of ``b`` implies a dive of
       ``a[i+1:]`` into the same item, which the rest of the scan finds.
+
+    Every clause maps the items of ``a`` one-to-one into those of ``b``, at
+    any depth, so ``E(a, b)`` implies ``size(a) <= size(b)``, where an
+    item's ``size`` counts the items at or below it. The scan skips what
+    this rules out: a dive into a head no larger than ``a[i:]`` (its
+    interior is smaller than the head), an item larger than the head, and
+    the rest of ``b`` once ``a[i:]`` is larger than it. So no slice of
+    ``a`` is longer than the head it dives into.
     """
     i, n = 0, len(a)
     if not n:
         return True
+    need = 0  # size of a[i:]
+    for x in a:
+        need += x.size
+    left = 0  # size of b from head on
     for head in b:
+        left += head.size
+    if need > left:
+        return False
+    for head in b:
+        hs = head.size
         # whole-remainder dives: a[i:] into the interior of b's item
-        if isinstance(head, Paren):
-            if _seq_embed(a[i:], head.items, guard):
-                return True
-        elif isinstance(head, Call):
-            for arg in head.args:
-                if _seq_embed(a[i:], arg, guard):
+        if hs > need:
+            if isinstance(head, Paren):
+                if _seq_embed(a[i:], head.items, guard):
                     return True
+            elif isinstance(head, Call):
+                for arg in head.args:
+                    if _seq_embed(a[i:], arg, guard):
+                        return True
         # match a[i] at the earliest item it embeds into
-        if _item_embed(a[i], head, guard):
+        x = a[i]
+        if x.size <= hs and _item_embed(x, head, guard):
             i += 1
             if i == n:
                 return True
+            need -= x.size
+        left -= hs
+        if need > left:
+            return False
     return False
 
 

@@ -69,15 +69,15 @@ def test_run_out_of_fuel_is_a_budget_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("depth", [250, 3000])
 def test_run_on_deeply_nested_data_is_an_error(depth, tmp_path, capsys):
-    # 3,000 levels overflow the parser; 250 overflow the printer on Python
-    # 3.10 and 3.11, while 3.12 counts only Python frames and prints them
+    # 3,000 levels overflow the parser; the printer is iterative, so 250
+    # levels print on every Python version
     p = tmp_path / "id.l"
     p.write_text("Id { e.x => e.x; }\n")
     data = "(" * depth + "'a'" + ")" * depth
     rc = main(["run", str(p), "Id", data])
     captured = capsys.readouterr()
-    if rc == 0:
-        assert depth == 250 and sys.version_info >= (3, 12)
+    if depth == 250:
+        assert rc == 0
         assert captured.out == data + "\n"
         return
     assert rc == 1

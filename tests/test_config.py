@@ -182,6 +182,21 @@ def test_subst_kind_violation():
         subst_seq((p,), {p: parse_expr("'a' 'b'")})
 
 
+def test_subst_enters_a_shared_signature_bit_but_replaces_only_bound_parameters():
+    # parameters 1 and 27 share a signature bit, so subst_seq enters what
+    # holds either and replaces only the one theta binds
+    e1, e27 = Param("e", 1), Param("e", 27)
+    assert e1.flags == e27.flags
+    kept = Paren((e27, Sym("b")))
+    other = Paren((Param("e", 2), Call("F", ((Sym("a"),),))))
+    seq = (Paren((e1, e27)), kept, other, e27)
+    out = subst_seq(seq, {e1: (Sym("z"),)})
+    assert out == (Paren((Sym("z"), e27)), kept, other, e27)
+    assert out[1] is kept and out[2] is other
+    rest = seq[1:]
+    assert subst_seq(rest, {e1: ()}) is rest
+
+
 def _holds_any(seq, theta) -> bool:
     return any(it in theta for it in iter_items(seq))
 

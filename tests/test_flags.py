@@ -84,14 +84,25 @@ KIND_FLAG = {Call: HAS_CALL, Bullet: HAS_BULLET, Param: HAS_PARAM, Var: HAS_VAR}
 
 
 def recomputed_flags(it) -> int:
+    """The kinds at or below it, plus each parameter's signature bit."""
     f = 0
     for x in iter_items((it,)):
         f |= KIND_FLAG.get(type(x), 0)
+        if isinstance(x, Param):
+            f |= 16 << (x.num % 26)
     return f
 
 
+def recomputed_size(it) -> int:
+    return sum(1 for _ in iter_items((it,)))
+
+
 def flags_sound(seq) -> bool:
-    return all(x.flags == recomputed_flags(x) for x in iter_items(seq))
+    """Every item's cached flags and size agree with a recomputation."""
+    return all(
+        x.flags == recomputed_flags(x) and x.size == recomputed_size(x)
+        for x in iter_items(seq)
+    )
 
 
 def outcome(fn, *args):

@@ -202,6 +202,7 @@ class CountedHash:
     """An item whose every hash is counted."""
 
     flags = 0
+    size = 1
     hashes = 0
 
     def __hash__(self):

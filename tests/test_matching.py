@@ -368,3 +368,20 @@ def test_instance_matchers_take_long_sequences():
     late = Rule(((b,) + (a,) * 4998 + (EY,),), ())
     assert inst_args(early.lhs, late.lhs) is not None
     assert inst_args(late.lhs, early.lhs) is None
+
+
+def test_a_fixed_length_rest_leaves_one_split():
+    # an e-hole whose rest at its level holds no e-hole can take one prefix
+    # only: the matcher binds it without trying the others
+    a, b = SYMS[1], SYMS[2]
+    s1, e3 = S_PARAMS[0], E_PARAMS[0]
+    subj = (a,) * 10_000
+    for pat, want in [
+        ((e3,), {e3: subj}),
+        ((e3, s1), {e3: subj[:-1], s1: (a,)}),
+        ((a, e3, Paren(())), None),
+        ((e3, b), None),
+    ]:
+        budget = Budget(MATCH_BUDGET)
+        assert inst_seq(pat, subj, {}, budget) == want
+        assert MATCH_BUDGET - budget.n < 10

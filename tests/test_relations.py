@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 import models
 from oracles import all_exprs, is_renaming, naive_embed, random_expr
 from scpv.config import Clock, Configuration, ParamGen, TimedApp
-from scpv.lang import BULLET, Call, Paren, Param, Sym, Var, parse_expr
+from scpv.lang import BULLET, Call, Paren, Param, Sym, Var, iter_items, parse_expr
 from scpv.relations import (
+    _seq_embed,
     embed,
     strict_embed,
     turchin,
@@ -107,10 +108,29 @@ def test_embedding_closed_under_dropping_the_head(pair, guard):
         assert naive_embed(a[1:], b, guard)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seq_pairs(), st.booleans())
+def test_embedding_never_grows(pair, guard):
+    # the size lemma _seq_embed prunes by: an embedding maps the items of a
+    # one-to-one into those of b, at any depth
+    a, b = pair
+    if naive_embed(a, b, guard):
+        assert len(list(iter_items(a))) <= len(list(iter_items(b)))
+
+
 def test_long_sequences_embed():
     # the recursive decision procedure overflowed the stack here
     for item in (Sym("I"), Paren((Sym("A"),))):
         assert embed((item,) * 2000, (item,) * 2001)
+
+
+def test_long_paren_sequences_embed_in_one_scan():
+    # no remainder dives into a head no larger than itself, so 2,000 parens
+    # embed into 2,001 with one memo entry, not one per dive
+    item = Paren((Sym("A"),))
+    _seq_embed.cache_clear()
+    assert embed((item,) * 2000, (item,) * 2001)
+    assert _seq_embed.cache_info().misses == 1
 
 
 def test_reflexive_transitive_random():

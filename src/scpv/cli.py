@@ -55,11 +55,25 @@ def _write_trace(path, trace) -> None:
             f.write(trace.to_jsonl() + "\n")
 
 
+def _budget(kind):
+    """An argparse type for a budget: a ``kind`` number, refused below 0."""
+
+    def parse(text):
+        value = kind(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"a budget cannot be negative: {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_limit_flags(p):
     d = Limits()
-    p.add_argument("--max-nodes", type=int, default=d.max_nodes)
-    p.add_argument("--max-depth", type=int, default=d.max_depth)
-    p.add_argument("--time-budget-s", type=float, default=d.time_budget_s)
+    p.add_argument("--max-nodes", type=_budget(int), default=d.max_nodes)
+    p.add_argument("--max-depth", type=_budget(int), default=d.max_depth)
+    p.add_argument("--time-budget-s", type=_budget(float), default=d.time_budget_s)
     p.add_argument("--trace", default=None, help="write the event trace (JSON lines)")
 
 
@@ -182,7 +196,7 @@ def main(argv=None) -> int:
     p.add_argument("function")
     p.add_argument("data")
     p.add_argument("more", nargs="*")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    p.add_argument("--fuel", type=_budget(int), default=DEFAULT_FUEL,
                    help="evaluation steps before a budget exit")
     p.set_defaults(fn=cmd_run)
 

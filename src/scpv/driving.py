@@ -53,9 +53,15 @@ class Branch(Record):
     """One case of a drive step: its contraction, and the successor, which
     is None for abnormal (stuck) cases; ``tag`` is 'fired', 'stuck' or
     'decompose'; ``deferred`` holds the (param, Configuration) continuations
-    from tail splits."""
+    from tail splits.
 
-    __slots__ = ("contraction", "successor", "tag", "deferred")
+    ``drive`` builds a fired branch's successor when it is first read:
+    until then ``_successor`` holds ``_UNBUILT`` and ``_build`` the inputs
+    of ``_build_successor``. The first read stores the successor through
+    the slot setter and drops the inputs, as ``Paren`` caches its hash."""
+
+    __slots__ = ("contraction", "_successor", "tag", "deferred", "_build")
+    _names = ("contraction", "successor", "tag", "deferred")
 
     def __init__(self, contraction: dict, successor: Optional[Configuration],
                  tag: str, deferred: tuple = ()):
@@ -63,11 +69,34 @@ class Branch(Record):
         _branch_successor(self, successor)
         _branch_tag(self, tag)
         _branch_deferred(self, deferred)
+        _branch_build(self, None)
+
+    @property
+    def successor(self) -> Optional[Configuration]:
+        succ = self._successor
+        if succ is _UNBUILT:
+            succ = _build_successor(*self._build)
+            _branch_successor(self, succ)
+            _branch_build(self, None)
+        return succ
 
 
-_branch_contraction, _branch_successor, _branch_tag, _branch_deferred = (
+_branch_contraction, _branch_successor, _branch_tag, _branch_deferred, _branch_build = (
     slot_setters(Branch)
 )
+_UNBUILT = object()
+
+
+def _fired(theta: dict, build: tuple) -> Branch:
+    """A fired branch whose successor ``_build_successor(*build)`` is built
+    when first read."""
+    b = object.__new__(Branch)
+    _branch_contraction(b, theta)
+    _branch_successor(b, _UNBUILT)
+    _branch_tag(b, "fired")
+    _branch_deferred(b, ())
+    _branch_build(b, build)
+    return b
 
 
 FAIL = ("fail",)
@@ -392,33 +421,44 @@ def _fire_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
     (``check_config``), so this is ``decompose`` of the tail with the
     instantiated right-hand side in its bullet: the same configurations,
     clock ticks and fresh parameters, in the same order."""
-    stack = config.stack
-    tail = subst_seq(config.tail, theta)
     top = clock.now + len(row.chain)
     clock.now = top
+    if len(config.stack) == 1 and row.ctx_call:
+        entries, ctx = row.build(env, top)
+        connector = pgen.fresh("e")
+        ctx = replace_bullet(ctx, (connector,))
+        tail = replace_bullet(subst_seq(config.tail, theta), ctx)
+        cont, more = decompose(tail, clock, pgen)
+        return Configuration(entries, (BULLET,)), ((connector, cont), *more)
+    return _build_successor(config, theta, row, env, top), ()
+
+
+def _build_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
+                     top: int) -> Configuration:
+    """The successor of ``_fire_successor`` when it is no let-split, with the
+    chain labelled from ``top`` down: it takes no label and no parameter."""
     entries, ctx = row.build(env, top)
+    stack = config.stack
+    tail = subst_seq(config.tail, theta)
     if len(stack) == 1:
-        if row.ctx_call:
-            connector = pgen.fresh("e")
-            ctx = replace_bullet(ctx, (connector,))
-            cont, more = decompose(replace_bullet(tail, ctx), clock, pgen)
-            return Configuration(entries, (BULLET,)), ((connector, cont), *more)
         if not row.tail_call:
             tail = replace_bullet(tail, ctx)
-        return Configuration(entries, tail), ()
+        return Configuration(entries, tail)
     below = stack[1:]
     if theta:
         below = tuple([subst_app(e, theta) for e in below])
     if not row.tail_call:
         below = (plug_app(below[0], ctx),) + below[1:]
-    return Configuration(entries + below, tail), ()
+    return Configuration(entries + below, tail)
 
 
 def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
           warn=None) -> tuple:
     """One driving step of the topmost stack entry: its ``Branch``es, in
     rule order. An empty stack has none: its tail is a passive value, which
-    holds no call (``check_config``)."""
+    holds no call (``check_config``). Each fired branch takes its labels
+    now, in branch order; its successor is built when first read, except a
+    let-split's, which takes labels and parameters as it is built."""
     if not config.stack:
         return ()
 
@@ -446,8 +486,16 @@ def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
     for theta, kind, ri, env in walked:
         if kind == "stuck":
             branches.append(Branch(theta, None, "stuck"))
-        else:
-            succ, deferred = _fire_successor(config, theta, table[ri], env, clock, pgen)
+            continue
+        row = table[ri]
+        if len(config.stack) == 1 and row.ctx_call:
+            # a let-split ticks the clock and takes parameters: built now
+            succ, deferred = _fire_successor(config, theta, row, env, clock, pgen)
             branches.append(Branch(theta, succ, "fired", deferred))
+            continue
+        # the labels are taken in branch order, as _fire_successor takes them
+        top = clock.now + len(row.chain)
+        clock.now = top
+        branches.append(_fired(theta, (config, theta, row, env, top)))
     return tuple(branches)
 

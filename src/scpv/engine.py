@@ -30,6 +30,7 @@ from .lang import (
     HAS_PARAM,
     HAS_VAR,
     LangError,
+    Paren,
     Param,
     Program,
     Seq,
@@ -48,6 +49,7 @@ from .transform import (
     Incompatible,
     build_residual,
     fold_instance,
+    fold_levels,
     msg,
     simplify_program,
     split_task,
@@ -99,6 +101,7 @@ class Node:
     entry_subst: Optional[dict] = None  # set when generalization replaced this node
     dead: bool = False
     pending_children: int = 0
+    fold_key: Optional[tuple] = None  # _fold_key of config, made by a fold lookup
 
 
 class ProcessGraph:
@@ -121,7 +124,7 @@ class ProcessGraph:
         return self.nodes[nid]
 
     def shape_key(self, c: Configuration) -> tuple:
-        return tuple(e.fname for e in c.stack)
+        return tuple([e.fname for e in c.stack])
 
     def complete_candidates(self, c: Configuration):
         """The completed drive nodes of c's stack shape, in completion order."""
@@ -274,33 +277,115 @@ def _skip_to(branches: tuple, skipped: int, checkpoint: Configuration):
     if b.tag == "stuck" or b.deferred:
         return None
     assert not b.contraction, f"a lone branch narrows: {b!r}"
-    if _equal_but_labels(b.successor, checkpoint):
+    succ = b.successor
+    if _equal_but_labels(succ, checkpoint):
         return None
     n = skipped + 1
-    if n & (n - 1) == 0 and _config_embed(checkpoint, b.successor):
+    if n & (n - 1) == 0 and _config_embed(checkpoint, succ):
         return None
-    return b.successor
+    return succ
+
+
+# the boundaries in a flat chain key: after each argument's items, after
+# each entry, around a paren's items, and around a call's name and arguments
+_ARG, _ENTRY, _OPEN, _CALL, _CLOSE = (object() for _ in range(5))
 
 
 def _chain_key(c: Configuration):
-    """c up to parameter renaming: its labels dropped and its parameters
-    numbered by first occurrence; and those parameters, in that order."""
+    """c up to parameter renaming, as one flat tuple: its labels dropped,
+    its parameter-free items as they are, the parameter numbered n by first
+    occurrence as 2n, or 2n + 1 for an s-parameter, and boundary markers
+    for its structure; and those parameters, in that order. Two keys are
+    equal exactly when the configurations are renamings of each other."""
     seen: dict = {}
+    out: list = []
+    add = out.append
 
-    def number(p):
-        q = seen.get(p)
-        if q is None:
-            q = seen[p] = Param(p.kind, len(seen))
-        return (q,)
+    def walk(seq):
+        for it in seq:
+            if not it.flags & HAS_PARAM:
+                add(it)
+            elif type(it) is Param:
+                code = seen.get(it)
+                if code is None:
+                    code = seen[it] = 2 * len(seen) + (it.kind == "s")
+                add(code)
+            elif type(it) is Paren:
+                add(_OPEN)
+                walk(it.items)
+                add(_CLOSE)
+            else:
+                add(_CALL)
+                add(it.fname)
+                for a in it.args:
+                    walk(a)
+                    add(_ARG)
+                add(_CLOSE)
 
-    key = (
-        tuple(
-            (e.fname, tuple(map_items(a, HAS_PARAM, number) for a in e.args))
-            for e in c.stack
-        ),
-        map_items(c.tail, HAS_PARAM, number),
-    )
-    return key, tuple(seen)
+    for e in c.stack:
+        for a in e.args:
+            walk(a)
+            add(_ARG)
+        add(_ENTRY)
+    walk(c.tail)
+    return tuple(out), tuple(seen)
+
+
+# ---------------------------------------------------------------------------
+# Fold keys
+
+
+# facts a fold key keeps per level: enough to pass over most candidates
+# that cannot match, few enough to keep a key small
+_PROBES_PER_LEVEL = 4
+
+
+def _fold_key(c: Configuration, shape: tuple) -> tuple:
+    """(c, shape, probes) for c as a fold target whose stack shape is
+    ``shape``. The probes are facts that every instance of c shares, as a
+    flat tuple of (level, position, want) triples over ``fold_levels``:
+    position None wants the level ``want`` items long, where it has no
+    top-level e-parameter; otherwise the item at ``position`` is the
+    parameter-free item ``want``, before the level's first top-level
+    e-parameter or, counted from the end, after its last. Every item there
+    stands for exactly one item of an instance, so it sits at the same
+    position in it. At most ``_PROBES_PER_LEVEL`` facts per level are kept,
+    the outermost first."""
+    probes = []
+    for k, seq in enumerate(fold_levels(c)):
+        holes = [i for i, it in enumerate(seq) if type(it) is Param and it.kind == "e"]
+        n = len(seq)
+        room = _PROBES_PER_LEVEL
+        if not holes:
+            probes += (k, None, n)
+            room -= 1
+            fixed = range(n)
+        else:
+            fixed = [*range(holes[0]), *range(-1, holes[-1] - n, -1)]
+        for i in fixed:
+            if not room:
+                break
+            if not seq[i].flags & HAS_PARAM:
+                probes += (k, i, seq[i])
+                room -= 1
+    return c, shape, tuple(probes)
+
+
+def _may_fold(probes: tuple, levels: list) -> bool:
+    """Whether the configuration of ``levels`` passes every probe of a fold
+    key; False only when it is no instance of the key's configuration."""
+    it = iter(probes)
+    try:
+        for k, pos, want in zip(it, it, it):
+            seq = levels[k]
+            if pos is None:
+                if len(seq) != want:
+                    return False
+            elif seq[pos] != want:
+                return False
+    except IndexError:  # too short to match
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +451,7 @@ class Engine:
             child = self.graph.node(stack.pop())
             if not child.dead:
                 child.dead = True
+                child.fold_key = None
                 killed.append(child.id)
                 stack.extend(cid for _, cid in child.children)
         # every node below nid is dead before any source is reopened
@@ -659,10 +745,28 @@ class Engine:
         substitution; None when there is none. A substitution that binds a
         call is refused: the residual passes a fold's substitution as the
         arguments of its call, so a call there would name a function that
-        the residual does not define."""
+        the residual does not define.
+
+        A candidate whose fold key (``_fold_key``, made once per candidate
+        configuration) has another shape, or a probe that config fails, is
+        no instance, and it is passed over without a match."""
+        graph = self.graph
+        shape = levels = None
         for cid in candidate_ids:
-            cand = self.graph.node(cid)
+            cand = graph.node(cid)
             if cand.dead:
+                continue
+            key = cand.fold_key
+            if key is None or key[0] is not cand.config:
+                key = _fold_key(cand.config, graph.shape_key(cand.config))
+                cand.fold_key = key
+            if shape is None:
+                shape = graph.shape_key(config)
+            if key[1] != shape:
+                continue
+            if levels is None:
+                levels = fold_levels(config)
+            if not _may_fold(key[2], levels):
                 continue
             theta = fold_instance(cand.config, config)
             if theta is not None and not any(contains_call(v) for v in theta.values()):

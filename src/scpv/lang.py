@@ -68,17 +68,20 @@ def _frozen(self, name, *value):
 
 
 class Record:
-    """A frozen record with slots, the fields being ``__slots__``: ``==``,
-    ``hash``, ``repr``, copying and pickling behave as for a frozen
-    dataclass with those fields. A subclass's ``__init__`` stores each field
-    through the setters that ``slot_setters`` fetches once, since assignment
-    raises."""
+    """A frozen record with slots: ``==``, ``hash``, ``repr``, copying and
+    pickling behave as for a frozen dataclass whose fields are ``_names``,
+    by default the ``__slots__``. A subclass that lists ``_names`` itself
+    may keep slots out of them and read a field through a property. A
+    subclass's ``__init__`` stores each slot through the setters that
+    ``slot_setters`` fetches once, since assignment raises."""
 
     __slots__ = ()
     __setattr__ = __delattr__ = _frozen
 
     def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)
+        if "_names" not in cls.__dict__:
+            cls._names = cls.__slots__
+        cls._fields = attrgetter(*cls._names)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -92,7 +95,7 @@ class Record:
         return type(self), self._fields(self)
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._names)
         return f"{type(self).__qualname__}({fields})"
 
 

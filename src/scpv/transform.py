@@ -136,6 +136,14 @@ def msg(c1: Configuration, c2: Configuration, pgen: ParamGen) -> Generalization:
 # Fold-instance matching
 
 
+def fold_levels(c: Configuration) -> list:
+    """c's argument sequences, top entry first, then its tail: what
+    ``fold_instance`` matches, in its order."""
+    levels = [a for e in c.stack for a in e.args]
+    levels.append(c.tail)
+    return levels
+
+
 def fold_instance(ancestor: Configuration, current: Configuration) -> Optional[dict]:
     """A substitution with ancestor applied equal to current, labels ignored."""
     if len(ancestor.stack) != len(current.stack):
@@ -143,10 +151,7 @@ def fold_instance(ancestor: Configuration, current: Configuration) -> Optional[d
     for f, g in zip(ancestor.stack, current.stack):
         if f.fname != g.fname or len(f.args) != len(g.args):
             return None
-    return inst_args(
-        [a for f in ancestor.stack for a in f.args] + [ancestor.tail],
-        [a for g in current.stack for a in g.args] + [current.tail],
-    )
+    return inst_args(fold_levels(ancestor), fold_levels(current))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +274,7 @@ class _Emitter:
             name = self.fn_name[nid]
             formals = self.formals_of(nid)
             rules: list[Rule] = []
-            self.flatten(nid, {}, formals, rules, root=True)
+            self.flatten(nid, formals, rules)
             if not rules:
                 # every instance is undefined: keep the entry well-formed
                 self.need_undef = True
@@ -291,16 +296,23 @@ class _Emitter:
                 ),
             )
 
-    def flatten(self, nid: int, theta: dict, formals, rules, root=False) -> None:
-        """One rule per leaf below nid: a drive node's branches are inlined
-        unless it starts a function of its own, a stuck leaf adds no rule."""
-        node = self.g.node(nid)
-        if node.kind == "drive" and (root or node.entry_subst is None):
-            for contraction, cid in node.children:
-                self.flatten(cid, compose_subst(theta, contraction), formals, rules)
-        elif node.kind != "stuck":
-            lhs = tuple(subst_seq((p,), theta) for p in formals)
-            rules.append(Rule(lhs, self.node_expr(nid, body=root)))
+    def flatten(self, nid: int, formals, rules) -> None:
+        """One rule per leaf below nid, in branch order: a drive node's
+        branches are inlined unless it starts a function of its own, a
+        stuck leaf adds no rule. The walk keeps its own stack, so a path of
+        any depth is flattened."""
+        work = [(nid, {}, True)]
+        while work:
+            nid, theta, root = work.pop()
+            node = self.g.node(nid)
+            if node.kind == "drive" and (root or node.entry_subst is None):
+                work.extend(
+                    (cid, compose_subst(theta, contraction), False)
+                    for contraction, cid in reversed(node.children)
+                )
+            elif node.kind != "stuck":
+                lhs = tuple(subst_seq((p,), theta) for p in formals)
+                rules.append(Rule(lhs, self.node_expr(nid, body=root)))
 
 
 def build_residual(graph, entry_id: int, entry_name: str) -> Program:

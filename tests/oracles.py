@@ -35,6 +35,12 @@ The reference rule firing decomposes the right-hand side and rebuilds every
 argument, the entry below and, at the bottom of the stack, the whole
 successor, as driving did before its rule rows held instantiation plans.
 
+The reference fold search tries ``fold_instance`` on every live candidate
+in turn, as the engine did before fold keys passed over candidates that
+cannot match. The reference chain key builds the configuration with its
+parameters renumbered, as the chain memo's key was built before it became
+one flat tuple.
+
 The hypothesis strategies at the end draw parameterized data: symbols,
 parameters and parens, with no call and no bullet.
 """
@@ -89,7 +95,7 @@ from scpv.lang import (
 )
 from scpv.interp import eval_seq, match_seq  # noqa: used by helpers below
 from scpv.relations import _config_embed
-from scpv.transform import Generalization, Incompatible, _subst_vars_seq
+from scpv.transform import Generalization, Incompatible, _subst_vars_seq, fold_instance
 
 
 def _sym_kind(it) -> bool:
@@ -1057,6 +1063,47 @@ def multiplicity(v, seq: Seq) -> int:
 def match_ground(pat: Seq, data: Seq, env=None):
     """The reference interpreter's matcher, from an empty environment."""
     return match_seq(pat, data, env or {})
+
+
+# ---------------------------------------------------------------------------
+# Fold search and chain keys
+
+
+def ref_find_fold(graph, config: Configuration, candidate_ids):
+    """``Engine._find_fold`` as a linear scan: the first live candidate that
+    config is an instance of with a call-free substitution, and that
+    substitution; None when there is none."""
+    for cid in candidate_ids:
+        cand = graph.node(cid)
+        if cand.dead:
+            continue
+        theta = fold_instance(cand.config, config)
+        if theta is not None and not any(
+            naive_contains_call(v) for v in theta.values()
+        ):
+            return cid, theta
+    return None
+
+
+def ref_chain_key(c: Configuration):
+    """c with its labels dropped and its parameters renumbered by first
+    occurrence, as a tree; and those parameters, in that order."""
+    seen: dict = {}
+
+    def number(p):
+        q = seen.get(p)
+        if q is None:
+            q = seen[p] = Param(p.kind, len(seen))
+        return (q,)
+
+    key = (
+        tuple(
+            (e.fname, tuple(map_items(a, HAS_PARAM, number) for a in e.args))
+            for e in c.stack
+        ),
+        map_items(c.tail, HAS_PARAM, number),
+    )
+    return key, tuple(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .corpus import generate_model, parse_protocol_spec
@@ -56,12 +57,15 @@ def _write_trace(path, trace) -> None:
 
 
 def _budget(kind):
-    """An argparse type for a budget: a ``kind`` number, refused below 0."""
+    """An argparse type for a budget: a ``kind`` number, refused below 0 and
+    when NaN, which no elapsed time would exceed."""
 
     def parse(text):
         value = kind(text)
         if value < 0:
             raise argparse.ArgumentTypeError(f"a budget cannot be negative: {text}")
+        if math.isnan(value):
+            raise argparse.ArgumentTypeError(f"a budget must be a number: {text}")
         return value
 
     # argparse names the type in its "invalid int value" message

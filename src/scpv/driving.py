@@ -55,48 +55,31 @@ class Branch(Record):
     'decompose'; ``deferred`` holds the (param, Configuration) continuations
     from tail splits.
 
-    ``drive`` builds a fired branch's successor when it is first read:
-    until then ``_successor`` holds ``_UNBUILT`` and ``_build`` the inputs
-    of ``_build_successor``. The first read stores the successor through
-    the slot setter and drops the inputs, as ``Paren`` caches its hash."""
+    A fired branch may be given, as its successor, the tuple of the inputs
+    of ``_build_successor``: the successor is built when first read, and
+    stored through the slot setter in place of the inputs, as ``Paren``
+    caches its hash."""
 
-    __slots__ = ("contraction", "_successor", "tag", "deferred", "_build")
+    __slots__ = ("contraction", "_successor", "tag", "deferred")
     _names = ("contraction", "successor", "tag", "deferred")
 
-    def __init__(self, contraction: dict, successor: Optional[Configuration],
+    def __init__(self, contraction: dict, successor: Configuration | tuple | None,
                  tag: str, deferred: tuple = ()):
         _branch_contraction(self, contraction)
         _branch_successor(self, successor)
         _branch_tag(self, tag)
         _branch_deferred(self, deferred)
-        _branch_build(self, None)
 
     @property
     def successor(self) -> Optional[Configuration]:
         succ = self._successor
-        if succ is _UNBUILT:
-            succ = _build_successor(*self._build)
+        if type(succ) is tuple:
+            succ = _build_successor(*succ)
             _branch_successor(self, succ)
-            _branch_build(self, None)
         return succ
 
 
-_branch_contraction, _branch_successor, _branch_tag, _branch_deferred, _branch_build = (
-    slot_setters(Branch)
-)
-_UNBUILT = object()
-
-
-def _fired(theta: dict, build: tuple) -> Branch:
-    """A fired branch whose successor ``_build_successor(*build)`` is built
-    when first read."""
-    b = object.__new__(Branch)
-    _branch_contraction(b, theta)
-    _branch_successor(b, _UNBUILT)
-    _branch_tag(b, "fired")
-    _branch_deferred(b, ())
-    _branch_build(b, build)
-    return b
+_branch_contraction, _branch_successor, _branch_tag, _branch_deferred = slot_setters(Branch)
 
 
 FAIL = ("fail",)
@@ -372,71 +355,32 @@ def rule_table(prog: Program, fname: str) -> tuple:
     return table
 
 
-def _walk(table, args, theta, start, pgen, warn, out):
-    """Ordered branch enumeration: append (theta, kind, rule_idx, env) to out."""
-    # module-level rather than a closure, which would be rebuilt on every drive
-    for ri in range(start, len(table)):
-        req = table[ri].match(args)
-        if req is FAIL:
-            continue
-        if type(req) is dict:
-            out.append((theta, "fire", ri, req))
-            return
-        if req[0] == "shape":
-            for case in _shape_cases(req[1], pgen):
-                _walk(
-                    table,
-                    tuple([subst_seq(a, case) for a in args]),
-                    compose_subst(theta, case),
-                    ri, pgen, warn, out,
-                )
-            return
-        # ('sym', sparam, item): equal first, fall through otherwise
-        sparam, item = req[1], req[2]
-        if isinstance(item, Param) and warn:
-            warn(f"parameter-parameter symbol decision {sparam!r}={item!r}")
-        case = {sparam: (item,)}
-        _walk(
-            table,
-            tuple([subst_seq(a, case) for a in args]),
-            compose_subst(theta, case),
-            ri, pgen, warn, out,
-        )
-        _walk(table, args, theta, ri + 1, pgen, warn, out)
-        return
-    out.append((theta, "stuck", None, None))
-
-
-def _fire_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
-                    clock: Clock, pgen: ParamGen):
-    """Pop the fired top, thread its result, restore stack form.
-
-    The rule's chain is stacked with fresh labels, the outermost application
-    getting the earliest, as ``timed_chain`` stamps them. Its result flows
-    into the entry below, which a tail call leaves as it is, or at the bottom
-    of the stack into the tail. There a ``ctx`` that holds a call makes a
-    let-split: the chain's result is a fresh connector parameter, and only
-    the tail with ``ctx`` in its bullet and the connector in ``ctx``'s is
-    decomposed, into the deferred parts. The tail holds no call
+def _let_split(config: Configuration, theta: dict, row: RuleRow, env: dict,
+               top: int, clock: Clock, pgen: ParamGen) -> tuple:
+    """The successor and deferred parts of firing ``row`` at the bottom of
+    the stack when its ``ctx`` holds a call, with the chain labelled from
+    ``top`` down: the chain's result is a fresh connector parameter, and
+    only the tail with ``ctx`` in its bullet and the connector in ``ctx``'s
+    is decomposed, into the deferred parts. The tail holds no call
     (``check_config``), so this is ``decompose`` of the tail with the
     instantiated right-hand side in its bullet: the same configurations,
     clock ticks and fresh parameters, in the same order."""
-    top = clock.now + len(row.chain)
-    clock.now = top
-    if len(config.stack) == 1 and row.ctx_call:
-        entries, ctx = row.build(env, top)
-        connector = pgen.fresh("e")
-        ctx = replace_bullet(ctx, (connector,))
-        tail = replace_bullet(subst_seq(config.tail, theta), ctx)
-        cont, more = decompose(tail, clock, pgen)
-        return Configuration(entries, (BULLET,)), ((connector, cont), *more)
-    return _build_successor(config, theta, row, env, top), ()
+    entries, ctx = row.build(env, top)
+    connector = pgen.fresh("e")
+    ctx = replace_bullet(ctx, (connector,))
+    tail = replace_bullet(subst_seq(config.tail, theta), ctx)
+    cont, more = decompose(tail, clock, pgen)
+    return Configuration(entries, (BULLET,)), ((connector, cont), *more)
 
 
 def _build_successor(config: Configuration, theta: dict, row: RuleRow, env: dict,
                      top: int) -> Configuration:
-    """The successor of ``_fire_successor`` when it is no let-split, with the
-    chain labelled from ``top`` down: it takes no label and no parameter."""
+    """Pop the fired top, thread its result, restore stack form: the rule's
+    chain, labelled from ``top`` down, is stacked on the entries below,
+    the outermost application getting the earliest label, as
+    ``timed_chain`` stamps them. Its result flows into the entry below,
+    which a tail call leaves as it is, or at the bottom of the stack into
+    the tail; a let-split there is ``_let_split``'s."""
     entries, ctx = row.build(env, top)
     stack = config.stack
     tail = subst_seq(config.tail, theta)
@@ -456,9 +400,17 @@ def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
           warn=None) -> tuple:
     """One driving step of the topmost stack entry: its ``Branch``es, in
     rule order. An empty stack has none: its tail is a passive value, which
-    holds no call (``check_config``). Each fired branch takes its labels
-    now, in branch order; its successor is built when first read, except a
-    let-split's, which takes labels and parameters as it is built."""
+    holds no call (``check_config``).
+
+    The walk enumerates the narrowing cases depth first, with its own stack
+    of (arguments, θ, first rule to try): a shape split pushes its three
+    cases last first, a symbol decision its fall-through and then its equal
+    case, so each is popped in branch order. The walk ends before any
+    branch fires, since a let-split takes fresh parameters that the later
+    shape splits would otherwise follow. Then each fired branch takes its
+    labels, in branch order; its successor is built when first read,
+    except a let-split's, which takes labels and parameters as it is
+    built."""
     if not config.stack:
         return ()
 
@@ -477,25 +429,46 @@ def drive(config: Configuration, prog: Program, clock: Clock, pgen: ParamGen,
             return (Branch({}, succ, "decompose"),)
 
     table = rule_table(prog, top.fname)
-    walked = []
+    walked = []  # (θ, fired row or None, bindings), in branch order
+    work = [(top.args, {}, 0)]
     try:
-        _walk(table, top.args, {}, 0, pgen, warn, walked)
+        while work:
+            args, theta, ri = work.pop()
+            for ri in range(ri, len(table)):
+                req = table[ri].match(args)
+                if req is not FAIL:
+                    break
+            else:
+                walked.append((theta, None, None))
+                continue
+            if type(req) is dict:
+                walked.append((theta, table[ri], req))
+                continue
+            if req[0] == "shape":
+                cases = reversed(_shape_cases(req[1], pgen))
+            else:
+                # ('sym', sparam, item): equal first, fall through otherwise
+                sparam, item = req[1], req[2]
+                if isinstance(item, Param) and warn:
+                    warn(f"parameter-parameter symbol decision {sparam!r}={item!r}")
+                work.append((args, theta, ri + 1))
+                cases = ({sparam: (item,)},)
+            for case in cases:
+                work.append((tuple([subst_seq(a, case) for a in args]),
+                             compose_subst(theta, case), ri))
     except NotSupported as e:
         raise NotSupported(f"{e}, in a rule of {top.fname}") from None
+
     branches = []
-    for theta, kind, ri, env in walked:
-        if kind == "stuck":
+    bottom = len(config.stack) == 1
+    for theta, row, env in walked:
+        if row is None:
             branches.append(Branch(theta, None, "stuck"))
             continue
-        row = table[ri]
-        if len(config.stack) == 1 and row.ctx_call:
-            # a let-split ticks the clock and takes parameters: built now
-            succ, deferred = _fire_successor(config, theta, row, env, clock, pgen)
+        top = clock.now = clock.now + len(row.chain)
+        if bottom and row.ctx_call:
+            succ, deferred = _let_split(config, theta, row, env, top, clock, pgen)
             branches.append(Branch(theta, succ, "fired", deferred))
-            continue
-        # the labels are taken in branch order, as _fire_successor takes them
-        top = clock.now + len(row.chain)
-        clock.now = top
-        branches.append(_fired(theta, (config, theta, row, env, top)))
+        else:
+            branches.append(Branch(theta, (config, theta, row, env, top), "fired"))
     return tuple(branches)
-

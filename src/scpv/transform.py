@@ -10,7 +10,6 @@ from .config import (
     Configuration,
     ParamGen,
     TimedApp,
-    compose_subst,
     plug_app,
     subst_seq,
 )
@@ -300,18 +299,19 @@ class _Emitter:
         """One rule per leaf below nid, in branch order: a drive node's
         branches are inlined unless it starts a function of its own, a
         stuck leaf adds no rule. The walk keeps its own stack, so a path of
-        any depth is flattened."""
-        work = [(nid, {}, True)]
+        any depth is flattened, and carries the formals' images under the
+        path's contractions, each applied in turn, which is the image under
+        their composition."""
+        work = [(nid, tuple([(p,) for p in formals]), True)]
         while work:
-            nid, theta, root = work.pop()
+            nid, lhs, root = work.pop()
             node = self.g.node(nid)
             if node.kind == "drive" and (root or node.entry_subst is None):
                 work.extend(
-                    (cid, compose_subst(theta, contraction), False)
+                    (cid, tuple([subst_seq(a, contraction) for a in lhs]), False)
                     for contraction, cid in reversed(node.children)
                 )
             elif node.kind != "stuck":
-                lhs = tuple(subst_seq((p,), theta) for p in formals)
                 rules.append(Rule(lhs, self.node_expr(nid, body=root)))
 
 

@@ -519,9 +519,11 @@ def interp_match_rule(lhs: tuple, args: tuple, env: dict):
 
 
 def ref_drive(config: Configuration, prog: Program, clock: Clock,
-              pgen: ParamGen) -> tuple:
+              pgen: ParamGen, warn=None) -> tuple:
     """``drive`` of a configuration whose top entry holds no call, with the
-    interpretive matcher and the reference rule firing."""
+    interpretive matcher and the reference rule firing, by recursion; each
+    parameter-parameter symbol decision is passed to ``warn`` where it is
+    met, before its equal case is walked."""
     top = config.stack[0]
     rules = prog.rules(top.fname)
     walked = []
@@ -535,6 +537,8 @@ def ref_drive(config: Configuration, prog: Program, clock: Clock,
             if req is None:
                 walked.append((theta, ri, env))
                 return
+            if req[0] == "sym" and isinstance(req[2], Param) and warn:
+                warn(f"parameter-parameter symbol decision {req[1]!r}={req[2]!r}")
             cases = _shape_cases(req[1], pgen) if req[0] == "shape" else [{req[1]: (req[2],)}]
             for case in cases:
                 walk(tuple(subst_seq(a, case) for a in args), compose_subst(theta, case), ri)

@@ -1,9 +1,11 @@
-"""Budgets: refused when negative, reached as clean exits, and a residual
-read off a path of any depth; random programs end in a verdict, an error
-or a budget exit, never a traceback."""
+"""Budgets: refused when negative or NaN, reached as clean exits, and a
+residual read off a path of any depth with one substitution per child;
+random programs end in a verdict, an error or a budget exit, never a
+traceback."""
 
 import contextlib
 import io
+import json
 import random
 import sys
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import models
 from oracles import random_program
+from scpv import config, transform
 from scpv.cli import main
 from scpv.config import Configuration, TimedApp
 from scpv.engine import ProcessGraph
@@ -33,6 +36,21 @@ def test_negative_budgets_are_usage_errors(argv, capsys):
     flag = argv[-2]
     assert captured.out == ""
     assert f"error: argument {flag}: a budget cannot be negative: {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "+nan"])
+def test_a_nan_time_budget_is_a_usage_error(text, capsys):
+    # a NaN budget compares false with every elapsed time, so it would
+    # never run out
+    assert main(["verify", models.path("synapse.l"), "--time-budget-s", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --time-budget-s: a budget must be a number: {text}" in captured.err
+
+
+def test_an_infinite_time_budget_is_accepted(capsys):
+    assert main(["verify", models.path("synapse.l"), "--time-budget-s", "inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["safe"] is True
 
 
 def test_a_zero_budget_is_a_budget_exit(capsys):
@@ -74,6 +92,36 @@ def test_a_residual_path_deeper_than_the_recursion_limit():
     for i, rule in enumerate(fn.rules[:-1]):
         assert rule.lhs == ((Sym(f"A{i}"),),) and rule.rhs == (Sym(f"B{i}"),)
     assert fn.rules[-1].lhs == (fn.rules[-1].rhs,) and len(fn.rules[-1].rhs) == 1
+
+
+def test_a_residual_chain_substitutes_once_per_child(monkeypatch):
+    # drive node k narrows e.k to [] beside a leaf Bk and to I e.(k+1)
+    # beside node k+1. Flattening carries the root formal's image down and
+    # substitutes each child's contraction into it once: about 2n
+    # substitutions, where composing the path substitution at every node
+    # made about n * n
+    n = 1000
+    graph = ProcessGraph()
+    chain = []
+    for k in range(n):
+        node = graph.new_node(Configuration((TimedApp("F", ((Param("e", k),),), 0),), (BULLET,)))
+        node.kind = "drive"
+        chain.append(node)
+    for k, node in enumerate(chain):
+        leaf = graph.new_node(Configuration((), ()), parent=node.id)
+        leaf.kind, leaf.value = "passive", (Sym(f"B{k}"),)
+        node.children = [({Param("e", k): ()}, leaf.id)]
+        if k + 1 < n:
+            node.children.append(({Param("e", k): (Sym("I"), Param("e", k + 1))}, chain[k + 1].id))
+    calls = []
+    for module in (transform, config):
+        real = module.subst_seq
+        monkeypatch.setattr(module, "subst_seq",
+                            lambda seq, theta, real=real: calls.append(1) or real(seq, theta))
+    (fn,) = build_residual(graph, chain[0].id, "FRes").defs.values()
+    assert len(calls) < 2 * n
+    assert [r.lhs for r in fn.rules] == [((Sym("I"),) * k,) for k in range(n)]
+    assert [r.rhs for r in fn.rules] == [(Sym(f"B{k}"),) for k in range(n)]
 
 
 @pytest.fixture(scope="module")

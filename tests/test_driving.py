@@ -24,7 +24,7 @@ from oracles import (
 )
 from scpv.config import Clock, Configuration, ParamGen, TimedApp, check_config, subst_seq
 from scpv.corpus import self_interpreter
-from scpv.driving import Branch, _fire_successor, drive, rule_table
+from scpv.driving import Branch, _build_successor, _let_split, drive, rule_table
 from scpv.encoding import encode_expr
 from scpv.interp import UNDEFINED, eval_call
 from scpv.lang import BULLET, Paren, Param, Sym, Var, parse_expr, vars_of
@@ -147,7 +147,9 @@ def _holed(draw):
 def test_fire_successor_agrees_with_reference(case, data):
     # a fired rule over random bindings, stacks and tails: the successor,
     # its deferred parts, the clock and the parameter supply are as when
-    # every argument was rebuilt and the bottom of the stack decomposed
+    # every argument was rebuilt and the bottom of the stack decomposed.
+    # The labels are taken as drive takes them; a let-split at height 1 is
+    # built by _let_split, every other successor by _build_successor
     prog, fname, i = case
     row = rule_table(prog, fname)[i]
     draw = data.draw
@@ -166,7 +168,11 @@ def test_fire_successor_agrees_with_reference(case, data):
                  if draw(st.booleans())}
     now, num = draw(st.integers(10, 40)), draw(st.integers(100, 140))
     clock, pgen, ref_clock, ref_pgen = Clock(now), ParamGen(num), Clock(now), ParamGen(num)
-    got = _fire_successor(config, theta, row, env, clock, pgen)
+    top = clock.now = clock.now + len(row.chain)
+    if not below and row.ctx_call:
+        got = _let_split(config, theta, row, env, top, clock, pgen)
+    else:
+        got = _build_successor(config, theta, row, env, top), ()
     assert got == ref_fire_successor(config, theta, rhs, env, ref_clock, ref_pgen)
     assert (clock.now, pgen.next_num) == (ref_clock.now, ref_pgen.next_num)
     if row.tail_call and below and not theta:

@@ -54,6 +54,8 @@ from scpv.lang import (
     Var,
     inst_args,
     inst_seq,
+    parse_expr,
+    parse_program,
     seq_flags,
     vars_of,
 )
@@ -207,6 +209,19 @@ def test_predecomposition_commutes_with_instantiation(case, data):
                 assert got is a
 
 
+def _drives_as_the_reference(config, prog, now: int, num: int) -> tuple:
+    """(branches, warnings) of ``drive`` from ``Clock(now)`` and
+    ``ParamGen(num)``, asserting that ``ref_drive`` gives the same branches,
+    clock, parameter supply and warnings, in order."""
+    clock, pgen, warned = Clock(now), ParamGen(num), []
+    ref_clock, ref_pgen, ref_warned = Clock(now), ParamGen(num), []
+    got = drive(config, prog, clock, pgen, warned.append)
+    assert got == ref_drive(config, prog, ref_clock, ref_pgen, ref_warned.append)
+    assert (clock.now, pgen.next_num) == (ref_clock.now, ref_pgen.next_num)
+    assert warned == ref_warned
+    return got, warned
+
+
 # rules over the characters that delimit or escape Python string literals
 DQ, SQ, BS = Sym('"', char=True), Sym("'", char=True), Sym("\\", char=True)
 EZ = Var("e", "z")
@@ -241,8 +256,7 @@ def test_rules_over_quote_characters_drive_as_the_reference(fname, close, data):
     tail = data.draw(st.sampled_from(((BULLET,), (DQ, BULLET, Paren((SQ,))))))
     config = Configuration((TimedApp(fname, args, 1),), tail)
     now, num = data.draw(st.integers(10, 40)), data.draw(st.integers(100, 140))
-    got = drive(config, QUOTED, Clock(now), ParamGen(num))
-    assert got == ref_drive(config, QUOTED, Clock(now), ParamGen(num))
+    _drives_as_the_reference(config, QUOTED, now, num)
 
 
 def test_deeply_nested_rules_drive_as_the_reference():
@@ -255,10 +269,22 @@ def test_deeply_nested_rules_drive_as_the_reference():
     tags = []
     for arg in (data, (DQ,)):
         config = Configuration((TimedApp("F", (arg,), 1),), (BULLET,))
-        got = drive(config, prog, Clock(5), ParamGen(100))
-        assert got == ref_drive(config, prog, Clock(5), ParamGen(100))
+        got, _ = _drives_as_the_reference(config, prog, 5, 100)
         tags += [b.tag for b in got]
     assert tags == ["fired", "stuck"]
+
+
+def test_symbol_decisions_under_a_shape_split_warn_as_the_reference():
+    # F(e.1, s.2 s.3 s.4 s.5): e.1 is split against the paren; in the paren
+    # case s.3 is decided against s.2, and in its equal case s.5 against
+    # s.4, so the second warning comes before the first decision's
+    # fall-through is walked
+    prog = parse_program("F { (e.w) e.r, s.x s.x s.y s.y => A; e.u, e.v => B; }")
+    args = ((Param("e", 1),), tuple(Param("s", i) for i in range(2, 6)))
+    config = Configuration((TimedApp("F", args, 1),), (BULLET,))
+    got, warned = _drives_as_the_reference(config, prog, 5, 100)
+    assert [b.successor.tail for b in got] == [parse_expr(x) for x in "BBABB"]
+    assert warned == [f"parameter-parameter symbol decision {d}" for d in ("s.3=s.2", "s.5=s.4")]
 
 
 def test_generated_source_holds_no_program_text():

@@ -41,7 +41,7 @@ def _record_drives(model, mode, passes=1):
 def _unread(branch: Branch) -> bool:
     """The branch still holds the inputs of its successor: nothing has read
     it."""
-    return branch._build is not None
+    return type(branch._successor) is tuple
 
 
 def _kind(config, prog) -> str:
